@@ -196,9 +196,9 @@ class Tensor:
         out = Tensor._result(self.data[idx], (self,))
         if out.requires_grad:
             def bw():
-                g = np.zeros_like(self.data)
-                g[idx] += out.grad
-                self._accum(g)
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[idx] += out.grad
             out._backward = bw
         return out
 
@@ -257,13 +257,14 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
 
     out = Tensor._result(out_data, (x, w))
     if out.requires_grad:
+        padded_shape = xp.shape   # the closure keeps cols, not the padded input
         def bw():
             g = out.grad.transpose(0, 2, 3, 1).reshape(bsz * oh * ow, cout)
             if w.requires_grad:
                 w._accum((g.T @ cols).reshape(cout, cin, kh, kw))
             if x.requires_grad:
                 gwin = (g @ wmat).reshape(bsz, oh, ow, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-                gxp = np.zeros_like(xp)
+                gxp = np.zeros(padded_shape)
                 for u in range(kh):
                     for v in range(kw):
                         gxp[:, :, u:u + sh * (oh - 1) + 1:sh,

@@ -48,15 +48,19 @@ def save_checkpoint(path: str | Path, *, params: dict[str, np.ndarray],
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = struct.pack("<I", len(header_bytes)) + header_bytes
-    for _, a in arrays:
-        body += np.ascontiguousarray(a, dtype="<f8").tobytes()
-    digest = hashlib.sha256(body).digest()
+    # Hashed and written chunk by chunk, so no array is copied into one
+    # joined buffer.
+    body = [struct.pack("<I", len(header_bytes)), header_bytes]
+    body += [np.ascontiguousarray(a, dtype="<f8") for _, a in arrays]
+    digest = hashlib.sha256()
+    for chunk in body:
+        digest.update(chunk)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
-        f.write(digest)
-        f.write(body)
+        f.write(digest.digest())
+        for chunk in body:
+            f.write(chunk)
 
 
 def load_checkpoint(path: str | Path) -> dict:

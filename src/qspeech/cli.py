@@ -184,7 +184,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, *, config=False, manifest=False, checkpoint=False, out=False,
-               seed=False, workers=False):
+               seed=False):
         if config:
             sp.add_argument("--config", metavar="PATH", help="config file")
         if manifest:
@@ -195,16 +195,15 @@ def build_parser() -> _Parser:
             sp.add_argument("--out", metavar="DIR")
         if seed:
             sp.add_argument("--seed", type=int, metavar="N")
-        if workers:
-            sp.add_argument("--workers", type=int, default=1, metavar="N")
 
     sp = sub.add_parser("extract", help="compute feature files from a WAV manifest")
-    common(sp, config=True, manifest=True, out=False, workers=True)
+    common(sp, config=True, manifest=True, out=False)
     sp.add_argument("--out", metavar="DIR", required=True)
+    sp.add_argument("--workers", type=int, default=1, metavar="N")
     sp.set_defaults(fn=cmd_extract)
 
     sp = sub.add_parser("train", help="train a model")
-    common(sp, config=True, manifest=True, checkpoint=True, seed=True, workers=True)
+    common(sp, config=True, manifest=True, checkpoint=True, seed=True)
     sp.add_argument("--out", metavar="DIR", required=True)
     sp.add_argument("--dev-manifest", metavar="PATH")
     sp.add_argument("--epochs", type=int, metavar="N")

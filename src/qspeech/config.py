@@ -9,7 +9,6 @@ rejected.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -177,8 +176,3 @@ def dump_config(cfg: RunConfig) -> str:
 
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest()
-
-
-def replace(cfg: RunConfig, **kwargs) -> RunConfig:
-    """Shallow field override helper for the top-level sections."""
-    return dataclasses.replace(cfg, **kwargs)

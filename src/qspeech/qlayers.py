@@ -11,10 +11,15 @@ a quaternion weight ``W = R + Xi + Yj + Zk`` and the input
             + (Ry - Xz + Yr + Zx) j
             + (Rz + Xy - Yx + Zr) k
 
-with every product term a real convolution (or matrix product). This is
-equivalent to one real operation whose weight matrix has the 4x4 block
-structure [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]]; the test suite
-uses that block form as an independent oracle.
+The layers compute it as one real operation: the four input planes are
+concatenated along the channel (feature) axis, ``hamilton_block`` builds
+the real weight with the 4x4 block structure
+[[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]] from the four weight
+planes, one ``conv2d`` (``matmul``) applies it, and the result is split
+back into four planes. Two independent routes check this:
+``selftest.hamilton_conv2d``/``hamilton_dense`` expand the product above
+into 16 real convolutions (matrix products), and ``block_weight_matrix``
+is a numpy oracle of the block weight that no layer calls.
 
 Activations, pooling and dropout are "split": the same real operation is
 applied to each component plane, with dropout masking whole quaternion
@@ -38,14 +43,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, conv2d, matmul, maxpool1d
+from .autodiff import Tensor, concat, conv2d, matmul, maxpool1d
 
 __all__ = [
     "QTensor",
     "QConv2d",
     "QDense",
     "QPReLU",
-    "split_activation",
+    "hamilton_block",
     "split_maxpool_freq",
     "quaternion_dropout",
     "quaternion_init",
@@ -86,11 +91,6 @@ class QTensor:
     def numpy(self) -> np.ndarray:
         """Stack the component planes along a leading axis of size 4."""
         return np.stack([c.data for c in self.components])
-
-
-def split_activation(q: QTensor, fn: Callable[[Tensor], Tensor]) -> QTensor:
-    """Apply a real scalar activation independently to each plane."""
-    return q.map(fn)
 
 
 def split_maxpool_freq(q: QTensor, pool_width: int) -> QTensor:
@@ -175,6 +175,67 @@ def _he_real_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator)
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
+# (plane, sign) of each block of the real weight: row a of blocks maps the
+# four input planes to output plane a.
+_HAMILTON_BLOCKS = (
+    ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0)),
+    ((1, 1.0), (0, 1.0), (3, -1.0), (2, 1.0)),
+    ((2, 1.0), (3, 1.0), (0, 1.0), (1, -1.0)),
+    ((3, 1.0), (2, -1.0), (1, 1.0), (0, 1.0)),
+)
+
+
+def hamilton_block(planes: Sequence[Tensor], transpose: bool = False) -> Tensor:
+    """Real block weight of a quaternion weight, as one autodiff node.
+
+    Planes (out_q, in_q, ...) give a (4*out_q, 4*in_q, ...) weight whose
+    block (a, b) is a signed copy of one plane, following
+    [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]]. With ``transpose``
+    (2-D planes) it is built directly as its (4*in_q, 4*out_q) transpose,
+    the right operand of a dense layer. The backward pass folds each
+    block's gradient back into its plane with the same sign.
+    """
+    planes = tuple(planes)
+    # Transpose the planes, not the 4x larger block weight.
+    data = [np.ascontiguousarray(t.data.T) if transpose else t.data for t in planes]
+    rows, cols, *rest = data[0].shape
+    blocks = np.empty((4, rows, 4, cols, *rest))
+
+    def block(arr: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Block (a, b) of the weight, or of its transpose, in the
+        orientation of ``data``."""
+        return arr[b, :, a] if transpose else arr[a, :, b]
+
+    for a, row in enumerate(_HAMILTON_BLOCKS):
+        for b, (p, sign) in enumerate(row):
+            np.multiply(data[p], sign, out=block(blocks, a, b))
+    out = Tensor._result(blocks.reshape(4 * rows, 4 * cols, *rest), planes)
+    if out.requires_grad:
+        def bw():
+            g = out.grad.reshape(blocks.shape)
+            folded = [np.zeros(data[0].shape) for _ in planes]
+            for a, row in enumerate(_HAMILTON_BLOCKS):
+                for b, (p, sign) in enumerate(row):
+                    folded[p] += sign * block(g, a, b)
+            for t, gp in zip(planes, folded):
+                t._accum(gp.T if transpose else gp)
+        out._backward = bw
+    return out
+
+
+def _hamilton_layer(q: QTensor, w: QTensor, bias: QTensor | None,
+                    op: Callable[[Tensor, Tensor], Tensor],
+                    transpose: bool = False) -> QTensor:
+    """Concatenate the input planes along axis 1, apply ``op`` with the
+    block weight (transposed if asked), add the concatenated bias and
+    split the result into four planes again."""
+    out = op(concat(q.components, axis=1), hamilton_block(w.components, transpose))
+    if bias is not None:
+        out = out + concat(bias.components, axis=0)
+    n = out.shape[1] // 4
+    return QTensor(*(out[:, i * n:(i + 1) * n] for i in range(4)))
+
+
 class QConv2d:
     """Quaternion 2-D convolution via the Hamilton product.
 
@@ -207,18 +268,8 @@ class QConv2d:
     def __call__(self, q: QTensor) -> QTensor:
         if q.shape[1] != self.in_q:
             raise ValueError(f"expected {self.in_q} quaternion channels, got {q.shape[1]}")
-        c = lambda t, k: conv2d(t, k, self.stride, self.padding)
-        r, x, y, z = q.components
-        R, X, Y, Z = self.w.components
-        out = QTensor(
-            c(r, R) - c(x, X) - c(y, Y) - c(z, Z),
-            c(x, R) + c(r, X) + c(z, Y) - c(y, Z),
-            c(y, R) - c(z, X) + c(r, Y) + c(x, Z),
-            c(z, R) + c(y, X) - c(x, Y) + c(r, Z),
-        )
-        if self.bias is not None:
-            out = QTensor(*(p + b for p, b in zip(out.components, self.bias.components)))
-        return out
+        return _hamilton_layer(q, self.w, self.bias,
+                               lambda x, w: conv2d(x, w, self.stride, self.padding))
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         named = [(f"{prefix}.w.{c}", t) for c, t in zip("rxyz", self.w.components)]
@@ -251,18 +302,7 @@ class QDense:
     def __call__(self, q: QTensor) -> QTensor:
         if q.shape[-1] != self.in_q:
             raise ValueError(f"expected {self.in_q} quaternion inputs, got {q.shape[-1]}")
-        r, x, y, z = q.components
-        Rt, Xt, Yt, Zt = (t.transpose((1, 0)) for t in self.w.components)
-        m = matmul
-        out = QTensor(
-            m(r, Rt) - m(x, Xt) - m(y, Yt) - m(z, Zt),
-            m(x, Rt) + m(r, Xt) + m(z, Yt) - m(y, Zt),
-            m(y, Rt) - m(z, Xt) + m(r, Yt) + m(x, Zt),
-            m(z, Rt) + m(y, Xt) - m(x, Yt) + m(r, Zt),
-        )
-        if self.bias is not None:
-            out = QTensor(*(p + b for p, b in zip(out.components, self.bias.components)))
-        return out
+        return _hamilton_layer(q, self.w, self.bias, matmul, transpose=True)
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         named = [(f"{prefix}.w.{c}", t) for c, t in zip("rxyz", self.w.components)]

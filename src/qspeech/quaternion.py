@@ -26,12 +26,6 @@ __all__ = [
     "from_matrix_column",
 ]
 
-ONE = None  # set below
-I = None
-J = None
-K = None
-
-
 @dataclass(frozen=True)
 class Quaternion:
     """Quaternion with real part ``r`` and imaginary parts ``x, y, z``."""
@@ -71,8 +65,13 @@ def conjugate(q: Quaternion) -> Quaternion:
 
 
 def norm(q: Quaternion) -> float:
-    """Euclidean norm of the component 4-vector."""
-    return math.sqrt(q.r * q.r + q.x * q.x + q.y * q.y + q.z * q.z)
+    """Euclidean norm of the component 4-vector.
+
+    ``math.hypot`` scales internally, so tiny components whose squares
+    would be subnormal (or huge ones whose squares overflow) keep their
+    precision.
+    """
+    return math.hypot(q.r, q.x, q.y, q.z)
 
 
 def unit(q: Quaternion) -> Quaternion:

@@ -5,6 +5,10 @@ independent reference (matrix representation, block-real equivalence,
 exhaustive path enumeration, finite differences, Monte Carlo statistics)
 and reports pass/fail. These mirror the heavier pytest suite at a size
 that runs in seconds.
+
+``hamilton_conv2d`` and ``hamilton_dense`` are the reference route for the
+quaternion layers: the Hamilton product written out as 16 real
+convolutions (matrix products), one per weight plane and input plane.
 """
 
 from __future__ import annotations
@@ -13,14 +17,14 @@ import itertools
 
 import numpy as np
 
-from .autodiff import Tensor, conv2d
+from .autodiff import Tensor, backward, conv2d, matmul
 from .ctc import collapse, ctc_loss
 from .features import FeatureConfig, extract
 from .gradcheck import check_gradients
 from .qlayers import InitSpec, QConv2d, QDense, QTensor, block_weight_matrix, quaternion_init
 from .quaternion import Quaternion, from_matrix_column, hamilton_product, to_real_matrix
 
-__all__ = ["run_selftest"]
+__all__ = ["run_selftest", "hamilton_conv2d", "hamilton_dense"]
 
 
 def _check_algebra(rng: np.random.Generator, n: int = 10_000) -> tuple[bool, str]:
@@ -41,21 +45,63 @@ def _check_algebra(rng: np.random.Generator, n: int = 10_000) -> tuple[bool, str
     return ok, f"max abs diff {worst:.2e} over {n} pairs, basis relations {'ok' if basis_ok else 'BAD'}"
 
 
+def _hamilton(q: QTensor, w: QTensor, bias: QTensor | None, op) -> QTensor:
+    r, x, y, z = q.components
+    R, X, Y, Z = w.components
+    out = QTensor(
+        op(r, R) - op(x, X) - op(y, Y) - op(z, Z),
+        op(x, R) + op(r, X) + op(z, Y) - op(y, Z),
+        op(y, R) - op(z, X) + op(r, Y) + op(x, Z),
+        op(z, R) + op(y, X) - op(x, Y) + op(r, Z),
+    )
+    if bias is not None:
+        out = QTensor(*(p + b for p, b in zip(out.components, bias.components)))
+    return out
+
+
+def hamilton_conv2d(q: QTensor, w: QTensor, bias: QTensor | None,
+                    stride: tuple[int, int], padding: tuple[int, int]) -> QTensor:
+    """Quaternion convolution as 16 real convolutions plus bias."""
+    return _hamilton(q, w, bias, lambda t, k: conv2d(t, k, stride, padding))
+
+
+def hamilton_dense(q: QTensor, w: QTensor, bias: QTensor | None) -> QTensor:
+    """Quaternion dense layer as 16 real matrix products plus bias."""
+    return _hamilton(q, w, bias, lambda t, k: matmul(t, k.transpose((1, 0))))
+
+
 def _check_layer_equivalence(rng: np.random.Generator, n: int = 20) -> tuple[bool, str]:
+    """QConv2d against the Hamilton expansion (outputs and gradients) and
+    against a real convolution with the block weight matrix (outputs)."""
     worst = 0.0
-    for _ in range(n):
+    for trial in range(n):
         in_q, out_q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        layer = QConv2d(in_q, out_q, (3, 3), rng, padding=(1, 1))
-        q = QTensor.from_arrays(*rng.normal(size=(4, 2, in_q, 6, 5)))
-        got = layer(q).numpy()
+        kernel = (3, 5) if trial % 2 else (3, 3)
+        layer = QConv2d(in_q, out_q, kernel, rng)
+        for b in layer.bias.components:
+            b.data[:] = rng.normal(size=b.shape)
+        q = QTensor.from_arrays(*rng.normal(size=(4, 2, in_q, 6, 5)), requires_grad=True)
+        params = [*layer.w.components, *layer.bias.components, *q.components]
+        routes = []
+        for fn in (layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias,
+                                                     layer.stride, layer.padding)):
+            for t in params:
+                t.grad = None
+            out = fn(q)
+            backward(sum((p * p).sum() for p in out.components))
+            routes.append((out.numpy(), [t.grad.copy() for t in params]))
+        (got, got_grads), (ref, ref_grads) = routes
         block = block_weight_matrix([p.data for p in layer.w.components])
         stacked = Tensor(np.concatenate([p.data for p in q.components], axis=1))
-        real = conv2d(stacked, Tensor(block), (1, 1), (1, 1)).data
-        bias = np.concatenate([p.data for p in layer.bias.components])[None]
-        real = real + bias
-        ref = real.reshape(2, 4, out_q, 6, 5).transpose(1, 0, 2, 3, 4)
-        worst = max(worst, float(np.abs(got - ref).max()))
-    return worst < 1e-10, f"max abs diff {worst:.2e} over {n} random conv layers"
+        real = conv2d(stacked, Tensor(block), (1, 1), layer.padding).data
+        real = real + np.concatenate([p.data for p in layer.bias.components])[None]
+        block_ref = real.reshape(2, 4, out_q, 6, 5).transpose(1, 0, 2, 3, 4)
+        worst = max(worst, float(np.abs(got - ref).max()),
+                    float(np.abs(got - block_ref).max()),
+                    *(float(np.abs(g - r).max() / max(1.0, np.abs(r).max()))
+                      for g, r in zip(got_grads, ref_grads)))
+    return worst < 1e-10, (f"max abs diff {worst:.2e} over {n} random conv layers "
+                           f"(Hamilton expansion with gradients, block matrix)")
 
 
 def _check_ctc(rng: np.random.Generator, n: int = 5) -> tuple[bool, str]:

@@ -133,7 +133,7 @@ def test_gradients_accumulate_and_clear():
 
 
 @pytest.mark.parametrize("op", ["add", "mul", "sub", "log", "exp", "relu", "maxr",
-                                "softmax", "pool", "reshape", "slice", "concat"])
+                                "softmax", "pool", "reshape", "slice", "slices", "concat"])
 def test_elementwise_backward_rules(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
@@ -151,6 +151,8 @@ def test_elementwise_backward_rules(op):
         "pool": lambda: (maxpool1d(a, 2, axis=1) * maxpool1d(b, 2, axis=1)).sum(),
         "reshape": lambda: (a.reshape((4, 3)).transpose((1, 0)) * b).sum(),
         "slice": lambda: (a[1:, :2] * b[:2, 1:3]).sum(),
+        # overlapping slices of one parent add into the same gradient
+        "slices": lambda: (a[1:, :2] * a[:2, 1:3]).sum() + (a[0] * b[2]).sum(),
         "concat": lambda: (concat([a, b], axis=1) * concat([b, a], axis=1)).sum(),
     }
     assert check_gradients(fns[op], [a, b, c] if op in ("add", "mul", "sub") else [a, b]) < 1e-5

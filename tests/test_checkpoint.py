@@ -1,7 +1,11 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from qspeech.checkpoint import load_checkpoint, save_checkpoint
+from qspeech.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from qspeech.config import RunConfig, config_hash, dump_config
 from qspeech.errors import DataError
 
@@ -36,6 +40,32 @@ def test_save_load_save_byte_identical(tmp_path):
         symbols=state["symbols"], rng_state=state["rng_state"],
         best_metric=state["best_metric"])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_file_layout(tmp_path):
+    # magic, version, sha256 of the body, then the body: header length,
+    # sorted-key JSON header, arrays in manifest order as little-endian f8
+    payload = sample_payload(np.random.default_rng(4))
+    payload["params"]["c.s"] = np.array(2.5)
+    payload["params"]["d.w"] = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, **payload)
+    names = sorted(payload["params"])
+    arrays = [payload["params"][n] for n in names]
+    buffers = payload["optimizer"]["buffers"]
+    arrays += [buffers[n] for n in sorted(buffers)]
+    header = {k: payload[k] for k in ("epoch", "phase", "config_text", "config_hash",
+                                      "symbols", "rng_state", "best_metric")}
+    header["optimizer"] = {k: v for k, v in payload["optimizer"].items() if k != "buffers"}
+    header["arrays"] = [{"name": f"param:{n}", "shape": list(payload["params"][n].shape)}
+                        for n in names]
+    header["arrays"] += [{"name": f"opt:{n}", "shape": list(buffers[n].shape)}
+                         for n in sorted(buffers)]
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"".join([struct.pack("<I", len(hb)), hb]
+                    + [np.asarray(a, dtype="<f8").tobytes(order="C") for a in arrays])
+    expected = MAGIC + struct.pack("<I", VERSION) + hashlib.sha256(body).digest() + body
+    assert path.read_bytes() == expected
 
 
 def test_roundtrip_values(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from qspeech.autodiff import Tensor, conv2d
+from qspeech import qlayers
+from qspeech.autodiff import Tensor, backward, conv2d
 from qspeech.gradcheck import check_gradients
 from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor,
                              block_weight_matrix, compose_polar, quaternion_dropout,
-                             quaternion_init, split_activation, split_maxpool_freq)
+                             quaternion_init, split_maxpool_freq)
+from qspeech.selftest import hamilton_conv2d, hamilton_dense
 
 
 def rand_qtensor(rng, shape, requires_grad=False):
@@ -135,18 +137,98 @@ class TestQDense:
         assert check_gradients(fn, wrt) < 1e-4
 
 
+def outputs_and_grads(fn, q, params):
+    """Planes of fn(q), and the gradients of their summed squares."""
+    for t in params:
+        t.grad = None
+    out = fn(q)
+    backward(sum((p * p).sum() for p in out.components))
+    return out.numpy(), [t.grad.copy() for t in params]
+
+
+def assert_matches_expansion(layer, expansion, q):
+    """Outputs, and gradients for weights, bias and input, agree to 1e-10."""
+    params = [*layer.w.components, *layer.bias.components, *q.components]
+    got, got_grads = outputs_and_grads(layer, q, params)
+    ref, ref_grads = outputs_and_grads(expansion, q, params)
+    assert np.abs(got - ref).max() < 1e-10
+    for g, r in zip(got_grads, ref_grads):
+        assert np.abs(g - r).max() < 1e-10 * max(1.0, np.abs(r).max())
+
+
+class TestHamiltonExpansion:
+    """The layers against the 16-term Hamilton expansion in selftest."""
+
+    @pytest.mark.parametrize("kernel", [(3, 3), (3, 5)])
+    def test_conv_matches_expansion(self, kernel):
+        rng = np.random.default_rng(40 + kernel[1])
+        for _ in range(5):
+            in_q, out_q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            layer = QConv2d(in_q, out_q, kernel, rng)
+            for b in layer.bias.components:
+                b.data[:] = rng.normal(size=b.shape)
+            shape = (int(rng.integers(1, 4)), in_q, int(rng.integers(3, 9)),
+                     int(rng.integers(5, 9)))
+            assert_matches_expansion(
+                layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias, layer.stride,
+                                                 layer.padding),
+                rand_qtensor(rng, shape, requires_grad=True))
+
+    def test_dense_matches_expansion(self):
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            in_q, out_q = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            layer = QDense(in_q, out_q, rng)
+            for b in layer.bias.components:
+                b.data[:] = rng.normal(size=b.shape)
+            assert_matches_expansion(
+                layer, lambda q: hamilton_dense(q, layer.w, layer.bias),
+                rand_qtensor(rng, (int(rng.integers(1, 9)), in_q), requires_grad=True))
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(qlayers, name)
+    monkeypatch.setattr(qlayers, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def new_graph_nodes(outputs, inputs):
+    """Nodes with a backward rule reachable from outputs without passing inputs."""
+    seen, stack, count = {id(t) for t in inputs}, list(outputs), 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            count += 1
+            stack.extend(node._parents)
+    return count
+
+
+class TestOneGemmPerLayer:
+    # input concat, block weight, conv, bias concat, bias add, 4 output slices
+    MAX_CONV_NODES = 9
+
+    def test_conv_makes_one_conv2d_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, "conv2d")
+        rng = np.random.default_rng(44)
+        layer = QConv2d(3, 2, (3, 5), rng)
+        q = rand_qtensor(rng, (2, 3, 6, 7), requires_grad=True)
+        out = layer(q)
+        assert len(calls) == 1
+        assert new_graph_nodes(out.components, q.components) <= self.MAX_CONV_NODES
+
+    def test_dense_makes_one_matmul_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, "matmul")
+        rng = np.random.default_rng(45)
+        layer = QDense(3, 2, rng)
+        layer(rand_qtensor(rng, (4, 3), requires_grad=True))
+        assert len(calls) == 1
+
+
 class TestSplitOps:
-    def test_split_activation_identity(self):
-        q = rand_qtensor(np.random.default_rng(13), (2, 3))
-        out = split_activation(q, lambda t: t)
-        assert np.array_equal(out.numpy(), q.numpy())
-
-    def test_split_activation_relu_componentwise(self):
-        q = QTensor.from_arrays(np.array([-1.0]), np.array([2.0]),
-                                np.array([-3.0]), np.array([4.0]))
-        out = split_activation(q, lambda t: t.relu())
-        assert out.numpy().ravel().tolist() == [0.0, 2.0, 0.0, 4.0]
-
     def test_prelu_negative_ones(self):
         slopes = 0.3
         act = QPReLU(1, init=slopes)
