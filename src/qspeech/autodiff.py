@@ -4,7 +4,18 @@ Define-by-run: each differentiable operation returns a new :class:`Tensor`
 that records its parents and a backward closure. ``backward(loss)`` walks
 the recorded graph once in reverse topological order, so every recorded
 input receives its gradient contribution exactly once per downstream use.
-Distinct graphs are independent; nothing here is shared mutable state.
+Distinct graphs are independent; the only shared state is the recording
+flag ``no_grad`` sets, a context variable, so one thread's block does not
+switch recording off in another.
+
+Graph lifetime is explicit. Inside a ``with no_grad():`` block no graph is
+recorded at all: results have ``requires_grad`` False and no parents, so
+inference keeps no activations alive. ``backward`` consumes the graph it
+walks: as soon as a node's closure has run, the node drops its closure,
+its parents and (unless it is a leaf) its gradient, so the arrays the
+closure saved are freed by reference counting during the backward pass.
+A graph therefore supports one ``backward``; leaf gradients stay until
+``zero_grads``.
 
 All data is stored as contiguous float64 numpy arrays. numpy supplies the
 array arithmetic; the differentiation rules live here.
@@ -15,12 +26,30 @@ the usual deep-learning convention.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["Tensor", "backward", "matmul", "conv2d", "maxpool1d", "softmax", "concat"]
+__all__ = ["Tensor", "backward", "no_grad", "matmul", "conv2d", "maxpool1d", "concat"]
+
+_grad_enabled: ContextVar[bool] = ContextVar("qspeech_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block (forward-only evaluation).
+
+    Leaves keep their own ``requires_grad``; only operation results are
+    affected. Nested blocks and exceptions restore the previous state.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -57,7 +86,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents: tuple["Tensor", ...]) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
         return out
@@ -130,18 +159,6 @@ class Tensor:
             out._backward = lambda: self._accum(out.grad * mask)
         return out
 
-    def log(self) -> "Tensor":
-        out = Tensor._result(np.log(self.data), (self,))
-        if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad / self.data)
-        return out
-
-    def exp(self) -> "Tensor":
-        out = Tensor._result(np.exp(self.data), (self,))
-        if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad * out.data)
-        return out
-
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -152,28 +169,6 @@ class Tensor:
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
                 self._accum(np.broadcast_to(g, self.data.shape).copy())
-            out._backward = bw
-        return out
-
-    def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        """Max reduction; gradient flows to the first maximal element."""
-        out = Tensor._result(self.data.max(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            if axis is None:
-                flat_idx = int(self.data.argmax())
-                def bw():
-                    g = np.zeros_like(self.data)
-                    g.reshape(-1)[flat_idx] = out.grad.reshape(())
-                    self._accum(g)
-            else:
-                idx = np.expand_dims(self.data.argmax(axis=axis), axis)
-                def bw():
-                    g = out.grad
-                    if not keepdims:
-                        g = np.expand_dims(g, axis)
-                    buf = np.zeros_like(self.data)
-                    np.put_along_axis(buf, idx, g, axis=axis)
-                    self._accum(buf)
             out._backward = bw
         return out
 
@@ -306,20 +301,6 @@ def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._result(s, (x,))
-    if out.requires_grad:
-        def bw():
-            gs = out.grad * s
-            x._accum(gs - s * gs.sum(axis=axis, keepdims=True))
-        out._backward = bw
-    return out
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along an axis; backward splits the gradient."""
     ts = list(tensors)
@@ -339,7 +320,9 @@ def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar ``loss`` into ``.grad`` fields.
 
     Gradients add up across calls; clear them through ``zero_grads`` (or
-    by setting ``.grad = None``) between steps.
+    by setting ``.grad = None``) between steps. The graph is consumed: each
+    node is released right after its closure runs, so a second
+    ``backward`` through the same graph reaches no parameter.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -361,9 +344,17 @@ def backward(loss: Tensor) -> None:
                 state[id(node)] = 2
                 topo.append(node)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    # Popping (rather than iterating) drops this list's reference too, so a
+    # released node is freed as soon as nothing outside the graph holds it.
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward()
+            # Release only after the call: a wrapped closure may still expect
+            # the node intact while it runs.
+            node._backward = None
+            node._parents = ()
+            node.grad = None
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -175,10 +175,8 @@ def _logsumexp3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def ctc_loss_node(logits: Tensor, target: Sequence[int], blank: int) -> Tensor:
     """CTC loss as an autodiff node over a (n_frames, n_classes) tensor."""
     loss, grad = ctc_loss(logits.data, target, blank)
-    out = Tensor(np.float64(loss))
-    if logits.requires_grad:
-        out.requires_grad = True
-        out._parents = (logits,)
+    out = Tensor._result(np.float64(loss), (logits,))
+    if out.requires_grad:
         out._backward = lambda: logits._accum(out.grad * grad)
     return out
 

@@ -11,22 +11,26 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, backward, zero_grads
+from .autodiff import Tensor, backward, no_grad, zero_grads
 
 
 def numeric_grad(fn: Callable[[], Tensor], t: Tensor, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar ``fn()`` wrt ``t.data``."""
+    """Central-difference gradient of scalar ``fn()`` wrt ``t.data``.
+
+    The forwards run under ``no_grad``: they need values, not graphs.
+    """
     g = np.zeros_like(t.data)
     flat = t.data.reshape(-1)
     gf = g.reshape(-1)
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + eps
-        hi = fn().data.item()
-        flat[i] = old - eps
-        lo = fn().data.item()
-        flat[i] = old
-        gf[i] = (hi - lo) / (2.0 * eps)
+    with no_grad():
+        for i in range(flat.size):
+            old = flat[i]
+            flat[i] = old + eps
+            hi = fn().data.item()
+            flat[i] = old - eps
+            lo = fn().data.item()
+            flat[i] = old
+            gf[i] = (hi - lo) / (2.0 * eps)
     return g
 
 

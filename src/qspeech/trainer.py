@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .autodiff import backward, zero_grads
+from .autodiff import backward, no_grad, zero_grads
 from .config import RunConfig, config_hash, dump_config
 from .ctc import SymbolTable, batch_ctc_loss, best_path_decode, ctc_loss, min_alignment_frames
 from .data import Batch, Utterance, make_batches
@@ -90,6 +90,7 @@ class Trainer:
         self.params = self.model.parameters()
         self.log_stream = log_stream if log_stream is not None else sys.stdout
         self.start_epoch = 0
+        self.best_metric = float("inf")
         self._resume_opt_state: dict | None = None
 
     # -- checkpoint plumbing ----------------------------------------------
@@ -121,6 +122,8 @@ class Trainer:
         restore_parameters(self.model, state["params"])
         self.rng.bit_generator.state = state["rng_state"]
         self.start_epoch = int(state["epoch"])
+        if state["best_metric"] is not None:
+            self.best_metric = float(state["best_metric"])
         self._resume_opt_state = {**state["optimizer"], "buffers": state["opt_buffers"]}
 
     # -- core loops ---------------------------------------------------------
@@ -151,7 +154,7 @@ class Trainer:
         cfg = self.cfg
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = TrainResult()
+        result = TrainResult(best_metric=self.best_metric)
         result.best_path = out_dir / "best.ckpt"
         result.last_path = out_dir / "last.ckpt"
 
@@ -232,7 +235,8 @@ def evaluate_loss(model: QCNNModel, utts: list[Utterance], table: SymbolTable,
                   batch_size: int) -> float:
     total, n = 0.0, 0
     for batch in make_batches(utts, table, batch_size):
-        logits = model.forward(batch.features, training=False)
+        with no_grad():
+            logits = model.forward(batch.features, training=False)
         ok, _ = _feasible(batch)
         for i in ok:
             loss, _ = ctc_loss(logits.data[i, :batch.lengths[i], :],
@@ -247,7 +251,8 @@ def decode_dataset(model: QCNNModel, utts: list[Utterance], table: SymbolTable,
     """Greedy transcripts for every utterance, keyed by utterance id."""
     out: dict[str, list[str]] = {}
     for batch in make_batches(utts, table, batch_size):
-        logits = model.forward(batch.features, training=False)
+        with no_grad():
+            logits = model.forward(batch.features, training=False)
         for i, utt_id in enumerate(batch.utt_ids):
             idx = best_path_decode(logits.data[i, :batch.lengths[i], :],
                                    table.blank_index)

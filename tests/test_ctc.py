@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qspeech.autodiff import Tensor, backward
+from qspeech.autodiff import Tensor, backward, no_grad
 from qspeech.ctc import (SymbolTable, batch_ctc_loss, best_path_decode, collapse,
                          ctc_loss, ctc_loss_node, min_alignment_frames)
 from qspeech.errors import InfeasibleAlignment
@@ -127,6 +127,13 @@ class TestLoss:
         t = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
         err = check_gradients(lambda: ctc_loss_node(t, [0, 2, 2], BLANK), [t])
         assert err < 1e-4
+
+    def test_node_records_no_graph_under_no_grad(self):
+        t = Tensor(np.random.default_rng(6).normal(size=(6, 5)), requires_grad=True)
+        with no_grad():
+            out = ctc_loss_node(t, [0, 2, 2], BLANK)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert out.data == ctc_loss_node(t, [0, 2, 2], BLANK).data
 
     def test_gradient_shifts_probability_toward_target(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,7 @@
+import gc
 import io
+import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from qspeech.ctc import SymbolTable
 from qspeech.data import Utterance, batch_to_qtensor, synth_toy_dataset
 from qspeech.errors import DataError
 from qspeech.model import build_model
+from qspeech.optim import Adam
 from qspeech.trainer import (Trainer, decode_dataset, evaluate_loss, evaluate_per,
                              restore_parameters)
 
@@ -185,3 +189,95 @@ def test_per_invariant_to_dataset_order(trained):
     a = evaluate_per(trainer.model, utts, table)
     b = evaluate_per(trainer.model, list(reversed(utts)), table)
     assert a == b
+
+
+class _SnapshotTrainer(Trainer):
+    """Copies the run directory after every epoch, as an interrupted run
+    would have left it."""
+
+    def __init__(self, *args, snapshots, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.snapshots = snapshots
+
+    def save(self, path, epoch, phase, optimizer, best_metric):
+        super().save(path, epoch, phase, optimizer, best_metric)
+        if path.name == "last.ckpt":
+            shutil.copytree(path.parent, self.snapshots / f"epoch{epoch}")
+
+
+def test_resume_keeps_best_checkpoint(tmp_path):
+    utts = tiny_data(seed=6)
+    train, dev = utts[:6], utts[6:]
+    cfg = tiny_cfg(epochs=3, fine_tune_epochs=1, early_stop_metric="loss")
+    table = SymbolTable(SYMBOLS)
+
+    straight = _SnapshotTrainer(cfg, table, log_stream=io.StringIO(),
+                                snapshots=tmp_path / "snap")
+    full = straight.train(train, dev, tmp_path / "full")
+    total = len(full.history)
+    # Resume right after the best epoch, so no later epoch beats it.
+    assert full.best_epoch < total
+    run_dir = tmp_path / "resumed"
+    shutil.copytree(straight.snapshots / f"epoch{full.best_epoch}", run_dir)
+
+    resumed = Trainer(cfg, table, log_stream=io.StringIO())
+    resumed.resume(run_dir / "last.ckpt")
+    res = resumed.train(train, dev, run_dir)
+    assert (run_dir / "best.ckpt").read_bytes() == (tmp_path / "full" / "best.ckpt").read_bytes()
+    assert res.best_metric == full.best_metric
+    assert [h.train_loss for h in res.history] == \
+        [h.train_loss for h in full.history[full.best_epoch:]]
+    assert (run_dir / "last.ckpt").read_bytes() == (tmp_path / "full" / "last.ckpt").read_bytes()
+
+
+def _spy_logits(model, seen):
+    forward = model.forward
+
+    def spy(*args, **kwargs):
+        logits = forward(*args, **kwargs)
+        seen.append(logits)
+        return logits
+    model.forward = spy
+
+
+def test_evaluation_records_no_graph(trained):
+    cfg, utts, trainer, result = trained
+    table = SymbolTable(SYMBOLS)
+    model = build_model(cfg.model, table.num_classes, np.random.default_rng(5))
+    seen = []
+    _spy_logits(model, seen)
+    evaluate_loss(model, utts, table, batch_size=4)
+    evaluate_per(model, utts, table)
+    assert seen
+    assert all(not t.requires_grad and t._parents == () for t in seen)
+    assert all(p.requires_grad and p.grad is None for _, p in model.parameters())
+
+
+def test_train_step_graph_freed_by_refcount():
+    cfg = tiny_cfg(batch_size=6)
+    utts = tiny_data(seed=7)[:6]
+    trainer = Trainer(cfg, SymbolTable(SYMBOLS), log_stream=io.StringIO())
+    optimizer = Adam(trainer.params, lr=cfg.train.adam_lr)
+    refs = []
+
+    class SpyConv:
+        def __init__(self, conv):
+            self.conv = conv
+
+        def __call__(self, q):
+            out = self.conv(q)
+            refs.extend(weakref.ref(p.data) for p in out.components)
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self.conv, name)
+    trainer.model.convs[1] = SpyConv(trainer.model.convs[1])
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trainer._run_epoch(optimizer, utts)   # one batch: one train step
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
