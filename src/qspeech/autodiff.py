@@ -33,7 +33,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["Tensor", "backward", "no_grad", "matmul", "conv2d", "maxpool1d", "concat"]
+__all__ = ["Tensor", "backward", "no_grad", "matmul", "prelu", "conv2d", "maxpool1d",
+           "concat"]
 
 _grad_enabled: ContextVar[bool] = ContextVar("qspeech_grad_enabled", default=True)
 
@@ -152,13 +153,6 @@ class Tensor:
             raise TypeError("Tensor division only supports python scalars")
         return self * (1.0 / scalar)
 
-    def relu(self) -> "Tensor":
-        out = Tensor._result(np.maximum(self.data, 0.0), (self,))
-        if out.requires_grad:
-            mask = self.data > 0.0
-            out._backward = lambda: self._accum(out.grad * mask)
-        return out
-
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -197,9 +191,6 @@ class Tensor:
             out._backward = bw
         return out
 
-    def matmul(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
@@ -216,6 +207,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bw():
             a._accum(out.grad @ b.data.T)
             b._accum(a.data.T @ out.grad)
+        out._backward = bw
+    return out
+
+
+def prelu(x: Tensor, slopes: Tensor) -> Tensor:
+    """Parametric ReLU, ``v if v > 0 else a * v``, with one slope ``a`` per
+    channel of axis 1. The gradient with respect to ``v`` is 0 at 0."""
+    if x.data.ndim < 2 or slopes.data.shape != (x.data.shape[1],):
+        raise ValueError(f"PReLU needs one slope per axis-1 channel of {x.data.shape}, "
+                         f"got {slopes.data.shape}")
+    a = slopes.data.reshape((-1,) + (1,) * (x.data.ndim - 2))
+    gain = a * (x.data < 0.0)   # d out / d v: a where v < 0, 1 where v > 0, else 0
+    gain += x.data > 0.0
+    out = Tensor._result(x.data * gain, (x, slopes))
+    if out.requires_grad:
+        def bw():
+            x._accum(out.grad * gain)
+            if slopes.requires_grad:
+                slopes._accum(_unbroadcast(out.grad * np.minimum(x.data, 0.0), a.shape)
+                              .reshape(slopes.data.shape))
         out._backward = bw
     return out
 

@@ -2,9 +2,9 @@
 
 Layout: magic, format version, sha256 of the remainder, a
 length-prefixed JSON header (epoch, config text and hash, symbols, rng
-state, array manifest), then the raw little-endian float64 buffers in
-manifest order. The JSON is dumped with sorted keys and fixed separators,
-so save -> load -> save is byte-identical.
+state, best metric and epoch, array manifest), then the raw little-endian
+float64 buffers in manifest order. The JSON is dumped with sorted keys and
+fixed separators, so save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def save_checkpoint(path: str | Path, *, params: dict[str, np.ndarray],
                     optimizer: dict, epoch: int, phase: str,
                     config_text: str, config_hash: str,
                     symbols: list[str], rng_state: dict,
-                    best_metric: float | None = None) -> None:
+                    best_metric: float | None = None, best_epoch: int = -1) -> None:
     arrays: list[tuple[str, np.ndarray]] = []
     for name in sorted(params):
         arrays.append((f"param:{name}", params[name]))
@@ -45,6 +45,7 @@ def save_checkpoint(path: str | Path, *, params: dict[str, np.ndarray],
         "rng_state": rng_state,
         "optimizer": opt_meta,
         "best_metric": best_metric,
+        "best_epoch": best_epoch,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -65,7 +66,8 @@ def save_checkpoint(path: str | Path, *, params: dict[str, np.ndarray],
 
 def load_checkpoint(path: str | Path) -> dict:
     """Read and verify a checkpoint; returns header fields plus ``params``
-    and ``opt_buffers`` dicts of float64 arrays."""
+    and ``opt_buffers`` dicts of float64 arrays. A header without
+    ``best_epoch`` (written before it was stored) gives -1."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -103,6 +105,7 @@ def load_checkpoint(path: str | Path) -> dict:
         raise DataError(f"{path}: payload size mismatch")
     out = {k: header[k] for k in ("epoch", "phase", "config_text", "config_hash",
                                   "symbols", "rng_state", "optimizer", "best_metric")}
+    out["best_epoch"] = header.get("best_epoch", -1)
     out["params"] = params
     out["opt_buffers"] = opt_buffers
     return out

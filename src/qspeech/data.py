@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Tensor
 from .ctc import SymbolTable
 from .errors import DataError
 from .features import FeatureConfig, extract, load_features, read_wav
@@ -43,7 +44,7 @@ class Utterance:
 @dataclass
 class Batch:
     utt_ids: list[str]
-    features: QTensor               # planes (batch, 1, width, max_frames)
+    features: QTensor               # stacked r|x|y|z: (batch, 4, width, max_frames)
     lengths: list[int]
     targets: list[list[int]]
 
@@ -106,17 +107,17 @@ def make_batches(utts: list[Utterance], table: SymbolTable, batch_size: int,
         members = [utts[i] for i in group]
         max_t = max(u.n_frames for u in members)
         width = members[0].features.shape[1]
-        planes = np.zeros((4, len(members), 1, width, max_t))
+        stacked = np.zeros((len(members), 4, width, max_t))
         targets = []
         for b, u in enumerate(members):
-            planes[:, b, 0, :, :u.n_frames] = u.features
+            stacked[b, :, :, :u.n_frames] = u.features
             try:
                 targets.append(table.encode(u.labels))
             except KeyError as e:
                 raise DataError(f"utterance {u.utt_id!r}: {e.args[0]}") from None
         batches.append(Batch(
             utt_ids=[u.utt_id for u in members],
-            features=QTensor.from_arrays(*planes),
+            features=QTensor.of(Tensor(stacked)),
             lengths=[u.n_frames for u in members],
             targets=targets,
         ))
@@ -125,7 +126,7 @@ def make_batches(utts: list[Utterance], table: SymbolTable, batch_size: int,
 
 def batch_to_qtensor(features: np.ndarray) -> QTensor:
     """Wrap a single utterance (4, width, n_frames) as a batch of one."""
-    return QTensor.from_arrays(*features[:, None, None, :, :])
+    return QTensor.of(Tensor(features[None]))
 
 
 def synth_tone_corpus(out_dir: str | Path, n_utts: int, symbols: tuple[str, ...],

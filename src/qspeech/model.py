@@ -2,9 +2,10 @@
 
 The quaternion stack is: one quaternion conv block, max pooling along the
 frequency axis, the remaining conv blocks, then the dense quaternion
-layers applied per time step, a flatten of the four component planes, and
-one real affine output layer producing per-frame class logits (symbols
-plus blank). Every conv/dense block uses the split PReLU; dropout and L2
+layers applied per time step, and one real affine output layer on the
+stacked r|x|y|z features producing per-frame class logits (symbols plus
+blank). Activations stay in the stacked layout of ``qlayers.QTensor``
+throughout. Every conv/dense block uses the split PReLU; dropout and L2
 regularization cover the hidden layers only, never the first conv or the
 output head. Nothing pools the time axis, so there is one logit row per
 input frame.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .config import ModelConfig
 from .qlayers import (QConv2d, QDense, QPReLU, QTensor, RealConv2d, RealDense,
                       RealPReLU, quaternion_dropout, split_maxpool_freq)
@@ -54,7 +55,7 @@ class QCNNModel:
 
     def forward(self, feats: QTensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """Map (batch, in_channels, freq, time) features to
+        """Map (batch, 4*in_channels, freq, time) stacked features to
         (batch, time, n_classes) logits."""
         cfg = self.cfg
         q = feats
@@ -65,14 +66,14 @@ class QCNNModel:
             else:
                 q = quaternion_dropout(q, cfg.dropout, rng, training)
 
-        b, c, f, t = q.shape
-        q = q.map(lambda p: p.transpose((0, 3, 1, 2)).reshape((b * t, c * f)))
+        x = q.stacked()
+        b, c4, f, t = x.shape
+        q = QTensor.of(x.transpose((0, 3, 1, 2)).reshape((b * t, c4 * f)))
         for dense, act in zip(self.denses, self.dense_acts):
             q = act(dense(q))
             q = quaternion_dropout(q, cfg.dropout, rng, training)
 
-        flat = concat(list(q.components), axis=1)
-        logits = self.head(flat)
+        logits = self.head(q.stacked())
         return logits.reshape((b, t, self.n_classes))
 
     def parameters(self) -> list[tuple[str, Tensor]]:

@@ -1,29 +1,28 @@
 """Quaternion-valued neural network layers.
 
-A quaternion tensor is stored as four real component planes (r, x, y, z)
-of identical shape, so one quaternion channel corresponds to four real
-channels. Convolution and dense layers apply the Hamilton product between
-a quaternion weight ``W = R + Xi + Yj + Zk`` and the input
-``Q = r + xi + yj + zk``::
+A quaternion activation (``QTensor``) is one real Tensor whose axis 1
+holds the component blocks r|x|y|z of C channels each: (batch, 4C, freq,
+time) between conv layers, (n, 4C) between dense layers. Convolution and
+dense layers apply the Hamilton product between a quaternion weight
+``W = R + Xi + Yj + Zk`` and the input ``Q = r + xi + yj + zk``::
 
     W (*) Q = (Rr - Xx - Yy - Zz)
             + (Rx + Xr + Yz - Zy) i
             + (Ry - Xz + Yr + Zx) j
             + (Rz + Xy - Yx + Zr) k
 
-The layers compute it as one real operation: the four input planes are
-concatenated along the channel (feature) axis, ``hamilton_block`` builds
-the real weight with the 4x4 block structure
+The layers compute it as one real operation on the stacked input:
+``hamilton_block`` builds the real weight with the 4x4 block structure
 [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]] from the four weight
-planes, one ``conv2d`` (``matmul``) applies it, and the result is split
-back into four planes. Two independent routes check this:
+planes, and one ``conv2d`` (``matmul``) applies it, giving the stacked
+output. Two independent routes check this:
 ``selftest.hamilton_conv2d``/``hamilton_dense`` expand the product above
 into 16 real convolutions (matrix products), and ``block_weight_matrix``
 is a numpy oracle of the block weight that no layer calls.
 
-Activations, pooling and dropout are "split": the same real operation is
-applied to each component plane, with dropout masking whole quaternion
-units so the four components of a unit are kept or dropped together.
+Activations, pooling and dropout are "split": one real operation on the
+stacked tensor, with PReLU slopes and dropout masks repeated over the four
+blocks, so the four components of a unit are kept or dropped together.
 
 Weights come from a polar initializer: per weight, a purely imaginary
 quaternion with components uniform in [0,1) is normalized to a unit axis
@@ -43,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat, conv2d, matmul, maxpool1d
+from .autodiff import Tensor, concat, conv2d, matmul, maxpool1d, no_grad, prelu
 
 __all__ = [
     "QTensor",
@@ -62,53 +61,81 @@ __all__ = [
 
 
 class QTensor:
-    """Four real component planes of one shared shape."""
+    """A quaternion activation: one Tensor with the r|x|y|z blocks on axis 1
+    (``QTensor.of``), or four leaf planes (parameters, ``from_arrays``) that
+    ``stacked()`` concatenates afresh on every call. ``shape`` is the shape
+    of one plane; ``components`` (``r``, ``x``, ``y``, ``z``) are the planes,
+    sliced from a stacked Tensor."""
 
-    __slots__ = ("r", "x", "y", "z")
+    __slots__ = ("_planes", "_stacked")
 
     def __init__(self, r: Tensor, x: Tensor, y: Tensor, z: Tensor):
         shapes = {r.shape, x.shape, y.shape, z.shape}
         if len(shapes) != 1:
             raise ValueError(f"QTensor planes must share one shape, got {shapes}")
-        self.r, self.x, self.y, self.z = r, x, y, z
+        self._planes, self._stacked = (r, x, y, z), None
+
+    @classmethod
+    def of(cls, t: Tensor) -> "QTensor":
+        """Wrap a stacked Tensor (its axis 1 holds the four blocks)."""
+        if t.data.ndim < 2 or t.shape[1] % 4:
+            raise ValueError(f"a stacked QTensor needs axis 1 divisible by 4, got {t.shape}")
+        q = cls.__new__(cls)
+        q._planes, q._stacked = None, t
+        return q
 
     @classmethod
     def from_arrays(cls, r, x, y, z, requires_grad: bool = False) -> "QTensor":
         return cls(Tensor(r, requires_grad), Tensor(x, requires_grad),
                    Tensor(y, requires_grad), Tensor(z, requires_grad))
 
+    def stacked(self) -> Tensor:
+        return self._stacked if self._planes is None else concat(self._planes, axis=1)
+
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.r.shape
+        if self._planes is not None:
+            return self._planes[0].shape
+        b, c4, *rest = self._stacked.shape
+        return (b, c4 // 4, *rest)
+
+    def _plane(self, i: int) -> Tensor:
+        if self._planes is not None:
+            return self._planes[i]
+        n = self._stacked.shape[1] // 4
+        return self._stacked[:, i * n:(i + 1) * n]
+
+    r = property(lambda self: self._plane(0))
+    x = property(lambda self: self._plane(1))
+    y = property(lambda self: self._plane(2))
+    z = property(lambda self: self._plane(3))
 
     @property
     def components(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return (self.r, self.x, self.y, self.z)
-
-    def map(self, fn: Callable[[Tensor], Tensor]) -> "QTensor":
-        return QTensor(fn(self.r), fn(self.x), fn(self.y), fn(self.z))
+        return tuple(self._plane(i) for i in range(4))
 
     def numpy(self) -> np.ndarray:
         """Stack the component planes along a leading axis of size 4."""
-        return np.stack([c.data for c in self.components])
+        with no_grad():
+            return np.stack([c.data for c in self.components])
 
 
 def split_maxpool_freq(q: QTensor, pool_width: int) -> QTensor:
     """Component-wise max pooling along the frequency axis (axis 2).
 
-    Input planes are (batch, q_channels, freq, time); the time axis is
+    Input is (batch, 4*q_channels, freq, time); the time axis is
     untouched and a ragged frequency tail is truncated.
     """
-    return q.map(lambda t: maxpool1d(t, pool_width, axis=2))
+    return QTensor.of(maxpool1d(q.stacked(), pool_width, axis=2))
 
 
 def quaternion_dropout(q: QTensor, rate: float, rng: np.random.Generator | None,
                        training: bool) -> QTensor:
     """Inverted dropout of whole quaternion units.
 
-    One Bernoulli(1-rate) mask is drawn per unit and applied to all four
-    component planes, scaled by 1/(1-rate). Identity when not training or
-    when rate is 0.
+    One Bernoulli(1-rate) mask is drawn per unit (over the plane shape),
+    repeated over the four component blocks and scaled by 1/(1-rate).
+    Identity when not training or when rate is 0.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -117,8 +144,7 @@ def quaternion_dropout(q: QTensor, rate: float, rng: np.random.Generator | None,
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
     mask = (rng.random(q.shape) >= rate) / (1.0 - rate)
-    m = Tensor(mask)
-    return q.map(lambda t: t * m)
+    return QTensor.of(q.stacked() * Tensor(np.concatenate([mask] * 4, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -226,50 +252,26 @@ def hamilton_block(planes: Sequence[Tensor], transpose: bool = False) -> Tensor:
 def _hamilton_layer(q: QTensor, w: QTensor, bias: QTensor | None,
                     op: Callable[[Tensor, Tensor], Tensor],
                     transpose: bool = False) -> QTensor:
-    """Concatenate the input planes along axis 1, apply ``op`` with the
-    block weight (transposed if asked), add the concatenated bias and
-    split the result into four planes again."""
-    out = op(concat(q.components, axis=1), hamilton_block(w.components, transpose))
+    """Apply ``op`` to the stacked input and the block weight (transposed
+    if asked) and add the concatenated bias."""
+    out = op(q.stacked(), hamilton_block(w.components, transpose))
     if bias is not None:
         out = out + concat(bias.components, axis=0)
-    n = out.shape[1] // 4
-    return QTensor(*(out[:, i * n:(i + 1) * n] for i in range(4)))
+    return QTensor.of(out)
 
 
-class QConv2d:
-    """Quaternion 2-D convolution via the Hamilton product.
+class _QLayer:
+    """Weight planes ``w`` from the polar initializer and, if asked, zero
+    bias planes ``bias``: one quaternion per output channel."""
 
-    Weight planes have shape (out_q, in_q, kh, kw); the bias is one
-    quaternion per output channel, initialized to zero.
-    """
-
-    def __init__(self, in_q: int, out_q: int, kernel: tuple[int, int],
-                 rng: np.random.Generator, stride: tuple[int, int] = (1, 1),
-                 padding: tuple[int, int] | str = "same", bias: bool = True,
-                 criterion: str = "he"):
-        kh, kw = kernel
-        self.in_q, self.out_q, self.kernel = in_q, out_q, kernel
-        self.stride = stride
-        if padding == "same":
-            if kh % 2 == 0 or kw % 2 == 0:
-                raise ValueError("'same' padding needs odd kernel extents")
-            padding = ((kh - 1) // 2, (kw - 1) // 2)
-        self.padding = padding
-
-        spec = InitSpec(n_in=in_q * kh * kw, n_out=out_q * kh * kw, criterion=criterion)
-        shape = (out_q, in_q, kh, kw)
+    def __init__(self, spec: InitSpec, shape: tuple[int, ...], bias_shape: tuple[int, ...],
+                 rng: np.random.Generator, bias: bool):
         planes = quaternion_init(spec, shape, rng)
         self.w = QTensor(*(Tensor(p, requires_grad=True) for p in planes))
         self.bias = None
         if bias:
-            self.bias = QTensor(*(Tensor(np.zeros((out_q, 1, 1)), requires_grad=True)
+            self.bias = QTensor(*(Tensor(np.zeros(bias_shape), requires_grad=True)
                                   for _ in range(4)))
-
-    def __call__(self, q: QTensor) -> QTensor:
-        if q.shape[1] != self.in_q:
-            raise ValueError(f"expected {self.in_q} quaternion channels, got {q.shape[1]}")
-        return _hamilton_layer(q, self.w, self.bias,
-                               lambda x, w: conv2d(x, w, self.stride, self.padding))
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         named = [(f"{prefix}.w.{c}", t) for c, t in zip("rxyz", self.w.components)]
@@ -278,98 +280,73 @@ class QConv2d:
         return named
 
     def weight_count(self) -> int:
-        return 4 * self.out_q * self.in_q * self.kernel[0] * self.kernel[1]
+        return sum(t.size for t in self.w.components)
 
 
-class QDense:
-    """Quaternion dense layer: Hamilton matrix-vector product plus bias.
+class QConv2d(_QLayer):
+    """Quaternion 2-D convolution via the Hamilton product, stride 1 with
+    'same' zero padding.
 
-    Inputs are row-major batches (n, in_q) per component plane; weight
-    planes have shape (out_q, in_q).
+    Weight planes have shape (out_q, in_q, kh, kw); bias planes (out_q, 1, 1).
     """
 
-    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator,
-                 bias: bool = True, criterion: str = "he"):
+    def __init__(self, in_q: int, out_q: int, kernel: tuple[int, int],
+                 rng: np.random.Generator, bias: bool = True):
+        kh, kw = kernel
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ValueError("'same' padding needs odd kernel extents")
         self.in_q, self.out_q = in_q, out_q
-        spec = InitSpec(n_in=in_q, n_out=out_q, criterion=criterion)
-        planes = quaternion_init(spec, (out_q, in_q), rng)
-        self.w = QTensor(*(Tensor(p, requires_grad=True) for p in planes))
-        self.bias = None
-        if bias:
-            self.bias = QTensor(*(Tensor(np.zeros(out_q), requires_grad=True)
-                                  for _ in range(4)))
+        self.padding = ((kh - 1) // 2, (kw - 1) // 2)
+        super().__init__(InitSpec(n_in=in_q * kh * kw, n_out=out_q * kh * kw),
+                         (out_q, in_q, kh, kw), (out_q, 1, 1), rng, bias)
+
+    def __call__(self, q: QTensor) -> QTensor:
+        if q.shape[1] != self.in_q:
+            raise ValueError(f"expected {self.in_q} quaternion channels, got {q.shape[1]}")
+        return _hamilton_layer(q, self.w, self.bias,
+                               lambda x, w: conv2d(x, w, padding=self.padding))
+
+
+class QDense(_QLayer):
+    """Quaternion dense layer: Hamilton matrix-vector product plus bias.
+
+    Inputs are row-major batches, (n, in_q) per component plane; weight
+    planes have shape (out_q, in_q), bias planes (out_q,).
+    """
+
+    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, bias: bool = True):
+        self.in_q, self.out_q = in_q, out_q
+        super().__init__(InitSpec(n_in=in_q, n_out=out_q), (out_q, in_q), (out_q,), rng, bias)
 
     def __call__(self, q: QTensor) -> QTensor:
         if q.shape[-1] != self.in_q:
             raise ValueError(f"expected {self.in_q} quaternion inputs, got {q.shape[-1]}")
         return _hamilton_layer(q, self.w, self.bias, matmul, transpose=True)
 
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        named = [(f"{prefix}.w.{c}", t) for c, t in zip("rxyz", self.w.components)]
-        if self.bias is not None:
-            named += [(f"{prefix}.b.{c}", t) for c, t in zip("rxyz", self.bias.components)]
-        return named
 
-    def weight_count(self) -> int:
-        return 4 * self.out_q * self.in_q
-
-
-class QPReLU:
-    """Split PReLU with one learnable slope per quaternion channel.
-
-    The slope is shared by the four components of a channel. Channels are
-    axis 1 for 4-D plane shapes (batch, q, freq, time) and the last axis
-    for 2-D (n, q) shapes.
-    """
-
+class _PReLU:
     def __init__(self, n_channels: int, init: float = 0.25):
-        self.n_channels = n_channels
         self.slopes = Tensor(np.full(n_channels, init), requires_grad=True)
-
-    def _apply(self, t: Tensor) -> Tensor:
-        if t.data.ndim == 4:
-            if t.shape[1] != self.n_channels:
-                raise ValueError(f"PReLU has {self.n_channels} slopes, input has "
-                                 f"{t.shape[1]} channels")
-            a = self.slopes.reshape((self.n_channels, 1, 1))
-        elif t.data.ndim == 2:
-            if t.shape[-1] != self.n_channels:
-                raise ValueError(f"PReLU has {self.n_channels} slopes, input has "
-                                 f"{t.shape[-1]} channels")
-            a = self.slopes
-        else:
-            raise ValueError(f"PReLU expects 2-D or 4-D planes, got {t.shape}")
-        # max(v, a*v) for a <= 1: relu(v) - a * relu(-v)
-        return t.relu() - a * (-t).relu()
-
-    def __call__(self, q: QTensor) -> QTensor:
-        return q.map(self._apply)
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.slopes", self.slopes)]
 
 
+class QPReLU(_PReLU):
+    """Split PReLU with one learnable slope per quaternion channel.
+
+    The slope is shared by the four components of a channel: the slopes
+    are repeated over the four blocks of the stacked input's axis 1.
+    """
+
+    def __call__(self, q: QTensor) -> QTensor:
+        return QTensor.of(prelu(q.stacked(), concat([self.slopes] * 4)))
+
+
 # -- real-valued counterparts (baseline model and output head) ------------
 
 
-class RealConv2d:
-    def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int],
-                 rng: np.random.Generator, stride: tuple[int, int] = (1, 1),
-                 padding: tuple[int, int] | str = "same", bias: bool = True):
-        kh, kw = kernel
-        self.c_in, self.c_out, self.kernel = c_in, c_out, kernel
-        self.stride = stride
-        if padding == "same":
-            padding = ((kh - 1) // 2, (kw - 1) // 2)
-        self.padding = padding
-        self.w = Tensor(_he_real_init((c_out, c_in, kh, kw), c_in * kh * kw, rng),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros((c_out, 1, 1)), requires_grad=True) if bias else None
-
-    def __call__(self, t: Tensor) -> Tensor:
-        out = conv2d(t, self.w, self.stride, self.padding)
-        return out + self.b if self.b is not None else out
-
+class _RealLayer:
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         named = [(f"{prefix}.w", self.w)]
         if self.b is not None:
@@ -377,10 +354,26 @@ class RealConv2d:
         return named
 
     def weight_count(self) -> int:
-        return self.c_out * self.c_in * self.kernel[0] * self.kernel[1]
+        return self.w.size
 
 
-class RealDense:
+class RealConv2d(_RealLayer):
+    """Real 2-D convolution, stride 1 with 'same' zero padding."""
+
+    def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int],
+                 rng: np.random.Generator, bias: bool = True):
+        kh, kw = kernel
+        self.padding = ((kh - 1) // 2, (kw - 1) // 2)
+        self.w = Tensor(_he_real_init((c_out, c_in, kh, kw), c_in * kh * kw, rng),
+                        requires_grad=True)
+        self.b = Tensor(np.zeros((c_out, 1, 1)), requires_grad=True) if bias else None
+
+    def __call__(self, t: Tensor) -> Tensor:
+        out = conv2d(t, self.w, padding=self.padding)
+        return out + self.b if self.b is not None else out
+
+
+class RealDense(_RealLayer):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, bias: bool = True):
         self.n_in, self.n_out = n_in, n_out
         self.w = Tensor(_he_real_init((n_out, n_in), n_in, rng), requires_grad=True)
@@ -390,27 +383,10 @@ class RealDense:
         out = matmul(t, self.w.transpose((1, 0)))
         return out + self.b if self.b is not None else out
 
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        named = [(f"{prefix}.w", self.w)]
-        if self.b is not None:
-            named.append((f"{prefix}.b", self.b))
-        return named
 
-    def weight_count(self) -> int:
-        return self.n_out * self.n_in
-
-
-class RealPReLU:
-    def __init__(self, n_channels: int, init: float = 0.25):
-        self.n_channels = n_channels
-        self.slopes = Tensor(np.full(n_channels, init), requires_grad=True)
-
+class RealPReLU(_PReLU):
     def __call__(self, t: Tensor) -> Tensor:
-        a = self.slopes.reshape((self.n_channels, 1, 1)) if t.data.ndim == 4 else self.slopes
-        return t.relu() - a * (-t).relu()
-
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.slopes", self.slopes)]
+        return prelu(t, self.slopes)
 
 
 def block_weight_matrix(planes: Sequence[np.ndarray]) -> np.ndarray:

@@ -84,7 +84,7 @@ def _check_layer_equivalence(rng: np.random.Generator, n: int = 20) -> tuple[boo
         params = [*layer.w.components, *layer.bias.components, *q.components]
         routes = []
         for fn in (layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias,
-                                                     layer.stride, layer.padding)):
+                                                     (1, 1), layer.padding)):
             for t in params:
                 t.grad = None
             out = fn(q)

@@ -91,6 +91,7 @@ class Trainer:
         self.log_stream = log_stream if log_stream is not None else sys.stdout
         self.start_epoch = 0
         self.best_metric = float("inf")
+        self.best_epoch = -1
         self._resume_opt_state: dict | None = None
 
     # -- checkpoint plumbing ----------------------------------------------
@@ -98,7 +99,8 @@ class Trainer:
     def _param_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.params}
 
-    def save(self, path: Path, epoch: int, phase: str, optimizer, best_metric) -> None:
+    def save(self, path: Path, epoch: int, phase: str, optimizer, best_metric,
+             best_epoch: int = -1) -> None:
         ckpt.save_checkpoint(
             path,
             params=self._param_arrays(),
@@ -110,6 +112,7 @@ class Trainer:
             symbols=list(self.table.symbols),
             rng_state=self.rng.bit_generator.state,
             best_metric=best_metric,
+            best_epoch=best_epoch,
         )
 
     def resume(self, path: str | Path) -> None:
@@ -124,6 +127,7 @@ class Trainer:
         self.start_epoch = int(state["epoch"])
         if state["best_metric"] is not None:
             self.best_metric = float(state["best_metric"])
+        self.best_epoch = int(state["best_epoch"])
         self._resume_opt_state = {**state["optimizer"], "buffers": state["opt_buffers"]}
 
     # -- core loops ---------------------------------------------------------
@@ -154,7 +158,7 @@ class Trainer:
         cfg = self.cfg
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = TrainResult(best_metric=self.best_metric)
+        result = TrainResult(best_epoch=self.best_epoch, best_metric=self.best_metric)
         result.best_path = out_dir / "best.ckpt"
         result.last_path = out_dir / "last.ckpt"
 
@@ -190,8 +194,10 @@ class Trainer:
             if metric < result.best_metric:
                 result.best_metric = metric
                 result.best_epoch = epoch + 1
-                self.save(result.best_path, epoch + 1, phase, optimizer, metric)
-            self.save(result.last_path, epoch + 1, phase, optimizer, result.best_metric)
+                self.save(result.best_path, epoch + 1, phase, optimizer, metric,
+                          best_epoch=epoch + 1)
+            self.save(result.last_path, epoch + 1, phase, optimizer, result.best_metric,
+                      best_epoch=result.best_epoch)
         return result
 
 

@@ -1,11 +1,12 @@
 import gc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
 
 from qspeech.autodiff import (Tensor, backward, concat, conv2d, matmul, maxpool1d,
-                              no_grad, zero_grads)
+                              no_grad, prelu, zero_grads)
 from qspeech.gradcheck import check_gradients
 
 
@@ -124,10 +125,10 @@ def test_gradients_accumulate_and_clear():
     assert w.grad is None
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "sub", "relu", "pool", "reshape", "slice",
+@pytest.mark.parametrize("op", ["add", "mul", "sub", "prelu", "pool", "reshape", "slice",
                                 "slices", "concat"])
 def test_elementwise_backward_rules(op):
-    rng = np.random.default_rng(hash(op) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
     a = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
     c = Tensor(rng.uniform(0.5, 2.0, size=(4,)), requires_grad=True)  # broadcast
@@ -135,7 +136,9 @@ def test_elementwise_backward_rules(op):
         "add": lambda: ((a + c) * (a + b)).sum(),
         "mul": lambda: (a * b * c).sum(),
         "sub": lambda: ((a - b) * (a - c)).sum(),
-        "relu": lambda: ((a - 1.2).relu() * b).sum(),
+        # c as the slopes; the input has both signs and exact zeros
+        "prelu": lambda: (prelu(concat([a[:, :2] - 1.2, 0.0 * a[:, 2:]], axis=1), c)
+                          * b).sum(),
         "pool": lambda: (maxpool1d(a, 2, axis=1) * maxpool1d(b, 2, axis=1)).sum(),
         "reshape": lambda: (a.reshape((4, 3)).transpose((1, 0)) * b).sum(),
         "slice": lambda: (a[1:, :2] * b[:2, 1:3]).sum(),
@@ -143,7 +146,21 @@ def test_elementwise_backward_rules(op):
         "slices": lambda: (a[1:, :2] * a[:2, 1:3]).sum() + (a[0] * b[2]).sum(),
         "concat": lambda: (concat([a, b], axis=1) * concat([b, a], axis=1)).sum(),
     }
-    assert check_gradients(fns[op], [a, b, c] if op in ("add", "mul", "sub") else [a, b]) < 1e-5
+    wrt = [a, b, c] if op in ("add", "mul", "sub", "prelu") else [a, b]
+    assert check_gradients(fns[op], wrt) < 1e-5
+
+
+def test_prelu_hand_values():
+    x = Tensor([[-2.0, 0.0, 3.0], [4.0, -0.5, 0.0]], requires_grad=True)
+    slopes = Tensor([0.25, 0.5, 2.0], requires_grad=True)
+    out = prelu(x, slopes)
+    assert np.array_equal(out.data, [[-0.5, 0.0, 3.0], [4.0, -0.25, 0.0]])
+    backward(out.sum())
+    # one slope per axis-1 channel; the subgradient at 0 is 0
+    assert np.array_equal(x.grad, [[0.25, 0.0, 1.0], [1.0, 0.5, 0.0]])
+    assert np.array_equal(slopes.grad, [-2.0, -0.5, 0.0])
+    with pytest.raises(ValueError):
+        prelu(x, Tensor(np.ones(2)))
 
 
 def test_forward_deterministic():
@@ -165,7 +182,7 @@ def test_constant_subgraphs_not_tracked():
 
 def _graph_ops(x, w):
     """A small graph touching every op kind that saves arrays for backward."""
-    h = conv2d(x, w, (1, 1), (1, 1)).relu()
+    h = prelu(conv2d(x, w, (1, 1), (1, 1)), Tensor(np.full(w.shape[0], 0.25)))
     h = maxpool1d(h, 2, axis=2)
     h = concat([h, h * 2.0], axis=1)
     return (h[:, :, :, 1:] * h[:, :, :, :-1]).sum()
@@ -221,7 +238,7 @@ def test_backward_consumes_the_graph():
     x = Tensor(rng.normal(size=(1, 2, 4, 5)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     h = conv2d(x, w, (1, 1), (1, 1))
-    loss = (h.relu() * h).sum()
+    loss = (prelu(h, Tensor(np.full(3, 0.25))) * h).sum()
     backward(loss)
     gx, gw = x.grad.copy(), w.grad.copy()
     for node in (loss, h):
@@ -238,7 +255,7 @@ def test_backward_frees_intermediates_by_refcount():
 
     def build():
         h = conv2d(x, w, (1, 1), (1, 1))
-        r = h.relu()
+        r = prelu(h, Tensor(np.full(3, 0.25)))
         return (r * r).sum(), [weakref.ref(h.data), weakref.ref(r.data)]
 
     enabled = gc.isenabled()

@@ -24,6 +24,7 @@ def sample_payload(rng):
         symbols=["a", "b"],
         rng_state=np.random.default_rng(3).bit_generator.state,
         best_metric=12.5,
+        best_epoch=4,
     )
 
 
@@ -38,7 +39,7 @@ def test_save_load_save_byte_identical(tmp_path):
         epoch=state["epoch"], phase=state["phase"],
         config_text=state["config_text"], config_hash=state["config_hash"],
         symbols=state["symbols"], rng_state=state["rng_state"],
-        best_metric=state["best_metric"])
+        best_metric=state["best_metric"], best_epoch=state["best_epoch"])
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -55,7 +56,8 @@ def test_file_layout(tmp_path):
     buffers = payload["optimizer"]["buffers"]
     arrays += [buffers[n] for n in sorted(buffers)]
     header = {k: payload[k] for k in ("epoch", "phase", "config_text", "config_hash",
-                                      "symbols", "rng_state", "best_metric")}
+                                      "symbols", "rng_state", "best_metric",
+                                      "best_epoch")}
     header["optimizer"] = {k: v for k, v in payload["optimizer"].items() if k != "buffers"}
     header["arrays"] = [{"name": f"param:{n}", "shape": list(payload["params"][n].shape)}
                         for n in names]
@@ -68,6 +70,23 @@ def test_file_layout(tmp_path):
     assert path.read_bytes() == expected
 
 
+def test_header_without_best_epoch_loads_as_minus_one(tmp_path):
+    # checkpoints written before the best epoch was stored lack the key
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, **sample_payload(np.random.default_rng(5)))
+    raw = path.read_bytes()
+    body = raw[len(MAGIC) + 4 + 32:]
+    (hlen,) = struct.unpack_from("<I", body, 0)
+    header = json.loads(body[4:4 + hlen])
+    del header["best_epoch"]
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = struct.pack("<I", len(hb)) + hb + body[4 + hlen:]
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + hashlib.sha256(body).digest() + body)
+    state = load_checkpoint(path)
+    assert state["best_epoch"] == -1
+    assert state["best_metric"] == 12.5
+
+
 def test_roundtrip_values(tmp_path):
     payload = sample_payload(np.random.default_rng(1))
     path = tmp_path / "x.ckpt"
@@ -76,6 +95,7 @@ def test_roundtrip_values(tmp_path):
     assert state["epoch"] == 5
     assert state["symbols"] == ["a", "b"]
     assert state["best_metric"] == 12.5
+    assert state["best_epoch"] == 4
     for name, arr in payload["params"].items():
         assert np.array_equal(state["params"][name], arr)
     for name, arr in payload["optimizer"]["buffers"].items():

@@ -28,6 +28,31 @@ class TestQTensor:
         q = rand_qtensor(np.random.default_rng(0), (2, 3, 4, 5))
         assert stack_planes(q).shape[1] == 4 * q.shape[1]
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (6, 3)])
+    def test_stacked_round_trip(self, shape):
+        q = rand_qtensor(np.random.default_rng(1), shape)
+        s = QTensor.of(q.stacked())
+        assert s.shape == q.shape
+        assert np.array_equal(s.numpy(), q.numpy())
+        for got, want in zip(s.components, q.components):
+            assert np.array_equal(got.data, want.data)
+
+    def test_of_rejects_axis_one_not_divisible_by_four(self):
+        with pytest.raises(ValueError):
+            QTensor.of(Tensor(np.zeros((2, 6, 3, 3))))
+        with pytest.raises(ValueError):
+            QTensor.of(Tensor(np.zeros(8)))
+
+    def test_planes_and_stacked_inputs_give_identical_outputs(self):
+        rng = np.random.default_rng(2)
+        conv, dense = QConv2d(2, 3, (3, 5), rng), QDense(4, 2, rng)
+        for layer, shape in ((conv, (2, 2, 5, 6)), (dense, (3, 4))):
+            for b in layer.bias.components:
+                b.data[:] = rng.normal(size=b.shape)
+            q = rand_qtensor(rng, shape)
+            stacked = QTensor.of(Tensor(stack_planes(q)))
+            assert np.array_equal(layer(q).stacked().data, layer(stacked).stacked().data)
+
 
 class TestQConv2d:
     def test_identity_kernel_is_identity_map(self):
@@ -170,7 +195,7 @@ class TestHamiltonExpansion:
             shape = (int(rng.integers(1, 4)), in_q, int(rng.integers(3, 9)),
                      int(rng.integers(5, 9)))
             assert_matches_expansion(
-                layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias, layer.stride,
+                layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias, (1, 1),
                                                  layer.padding),
                 rand_qtensor(rng, shape, requires_grad=True))
 
@@ -207,18 +232,40 @@ def new_graph_nodes(outputs, inputs):
     return count
 
 
+def stacked_input(rng, shape):
+    """A stacked QTensor leaf of the given plane shape."""
+    shape = (shape[0], 4 * shape[1]) + shape[2:]
+    return QTensor.of(Tensor(rng.normal(size=shape), requires_grad=True))
+
+
 class TestOneGemmPerLayer:
-    # input concat, block weight, conv, bias concat, bias add, 4 output slices
-    MAX_CONV_NODES = 9
+    # block weight, conv, bias concat, bias add
+    MAX_CONV_NODES = 4
+    # the conv's nodes, slope concat, prelu, dropout multiply
+    MAX_BLOCK_NODES = 7
 
     def test_conv_makes_one_conv2d_call(self, monkeypatch):
         calls = count_calls(monkeypatch, "conv2d")
         rng = np.random.default_rng(44)
         layer = QConv2d(3, 2, (3, 5), rng)
-        q = rand_qtensor(rng, (2, 3, 6, 7), requires_grad=True)
+        q = stacked_input(rng, (2, 3, 6, 7))
         out = layer(q)
         assert len(calls) == 1
-        assert new_graph_nodes(out.components, q.components) <= self.MAX_CONV_NODES
+        assert new_graph_nodes([out.stacked()], [q.stacked()]) <= self.MAX_CONV_NODES
+
+    def test_planes_input_adds_one_concat(self):
+        rng = np.random.default_rng(46)
+        layer = QConv2d(3, 2, (3, 5), rng)
+        q = rand_qtensor(rng, (2, 3, 6, 7), requires_grad=True)
+        out = layer(q)
+        assert new_graph_nodes([out.stacked()], q.components) <= self.MAX_CONV_NODES + 1
+
+    def test_conv_prelu_dropout_block_nodes(self):
+        rng = np.random.default_rng(47)
+        conv, act = QConv2d(3, 2, (3, 5), rng), QPReLU(2)
+        q = stacked_input(rng, (2, 3, 6, 7))
+        out = quaternion_dropout(act(conv(q)), 0.3, rng, training=True)
+        assert new_graph_nodes([out.stacked()], [q.stacked()]) <= self.MAX_BLOCK_NODES
 
     def test_dense_makes_one_matmul_call(self, monkeypatch):
         calls = count_calls(monkeypatch, "matmul")

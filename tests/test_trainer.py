@@ -199,8 +199,8 @@ class _SnapshotTrainer(Trainer):
         super().__init__(*args, **kwargs)
         self.snapshots = snapshots
 
-    def save(self, path, epoch, phase, optimizer, best_metric):
-        super().save(path, epoch, phase, optimizer, best_metric)
+    def save(self, path, epoch, phase, optimizer, best_metric, **kwargs):
+        super().save(path, epoch, phase, optimizer, best_metric, **kwargs)
         if path.name == "last.ckpt":
             shutil.copytree(path.parent, self.snapshots / f"epoch{epoch}")
 
@@ -225,6 +225,7 @@ def test_resume_keeps_best_checkpoint(tmp_path):
     res = resumed.train(train, dev, run_dir)
     assert (run_dir / "best.ckpt").read_bytes() == (tmp_path / "full" / "best.ckpt").read_bytes()
     assert res.best_metric == full.best_metric
+    assert res.best_epoch == full.best_epoch
     assert [h.train_loss for h in res.history] == \
         [h.train_loss for h in full.history[full.best_epoch:]]
     assert (run_dir / "last.ckpt").read_bytes() == (tmp_path / "full" / "last.ckpt").read_bytes()
@@ -266,7 +267,7 @@ def test_train_step_graph_freed_by_refcount():
 
         def __call__(self, q):
             out = self.conv(q)
-            refs.extend(weakref.ref(p.data) for p in out.components)
+            refs.append(weakref.ref(out.stacked().data))
             return out
 
         def __getattr__(self, name):
@@ -281,3 +282,37 @@ def test_train_step_graph_freed_by_refcount():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_training_and_evaluation_leave_no_cyclic_garbage():
+    cfg = tiny_cfg(batch_size=3)
+    utts = tiny_data(seed=8)
+    table = SymbolTable(SYMBOLS)
+    trainer = Trainer(cfg, table, log_stream=io.StringIO())
+    optimizer = Adam(trainer.params, lr=cfg.train.adam_lr)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        trainer._run_epoch(optimizer, utts[:6])
+        evaluate_loss(trainer.model, utts[6:], table, batch_size=3)
+        evaluate_per(trainer.model, utts[6:], table)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_resume_of_finished_run_keeps_best_epoch(tmp_path):
+    utts = tiny_data(seed=9)
+    cfg = tiny_cfg(epochs=2, fine_tune_epochs=0)
+    table = SymbolTable(SYMBOLS)
+    full = Trainer(cfg, table, log_stream=io.StringIO()).train(utts[:6], utts[6:], tmp_path)
+    assert full.best_epoch >= 1
+    assert load_checkpoint(full.last_path)["best_epoch"] == full.best_epoch
+
+    resumed = Trainer(cfg, table, log_stream=io.StringIO())
+    resumed.resume(full.last_path)
+    res = resumed.train(utts[:6], utts[6:], tmp_path)
+    assert res.history == []
+    assert (res.best_epoch, res.best_metric) == (full.best_epoch, full.best_metric)
