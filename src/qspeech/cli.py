@@ -77,7 +77,9 @@ def cmd_extract(args) -> int:
     manifest_path = out_dir / "manifest.tsv"
     with open(manifest_path, "w", encoding="utf-8") as f:
         for utt_id, _, labels in entries:
-            f.write(f"{utt_id}\t{done[utt_id]}\t{' '.join(labels)}\n")
+            # read_manifest resolves relative entries against the manifest's directory
+            rel = Path(done[utt_id]).relative_to(out_dir)
+            f.write(f"{utt_id}\t{rel}\t{' '.join(labels)}\n")
     print(f"wrote {len(entries)} feature files and {manifest_path}")
     return 0
 
@@ -116,8 +118,10 @@ def cmd_train(args) -> int:
     if args.checkpoint:
         trainer.resume(args.checkpoint)
     result = trainer.train(train_set, dev_set, args.out)
+    # A resumed run that never improved keeps the best of the checkpoint it resumed.
+    how = "->" if result.best_epoch > trainer.start_epoch else "inherited from"
     print(f"best epoch {result.best_epoch} "
-          f"({cfg.train.early_stop_metric}={result.best_metric:.3f}) -> {result.best_path}")
+          f"({cfg.train.early_stop_metric}={result.best_metric:.3f}) {how} {result.best_path}")
     return 0
 
 

@@ -50,7 +50,9 @@ __all__ = [
     "QDense",
     "QPReLU",
     "hamilton_block",
+    "maxpool_freq",
     "split_maxpool_freq",
+    "unit_dropout",
     "quaternion_dropout",
     "quaternion_init",
     "InitSpec",
@@ -120,31 +122,51 @@ class QTensor:
             return np.stack([c.data for c in self.components])
 
 
-def split_maxpool_freq(q: QTensor, pool_width: int) -> QTensor:
-    """Component-wise max pooling along the frequency axis (axis 2).
+def maxpool_freq(t: Tensor, pool_width: int) -> Tensor:
+    """Max pooling along the frequency axis (axis 2) of a (batch,
+    channels, freq, time) Tensor; the time axis is untouched and a ragged
+    frequency tail is truncated."""
+    return maxpool1d(t, pool_width, axis=2)
 
-    Input is (batch, 4*q_channels, freq, time); the time axis is
-    untouched and a ragged frequency tail is truncated.
-    """
-    return QTensor.of(maxpool1d(q.stacked(), pool_width, axis=2))
+
+def split_maxpool_freq(q: QTensor, pool_width: int) -> QTensor:
+    """Component-wise ``maxpool_freq`` of a (batch, 4*q_channels, freq,
+    time) quaternion activation."""
+    return QTensor.of(maxpool_freq(q.stacked(), pool_width))
+
+
+def _dropout_scale(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
+                   training: bool) -> np.ndarray | None:
+    """One Bernoulli(1-rate) draw per unit of ``shape``, scaled by
+    1/(1-rate); None when dropout is the identity (not training, or rate 0)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def unit_dropout(t: Tensor, rate: float, rng: np.random.Generator | None,
+                 training: bool) -> Tensor:
+    """Inverted dropout of single real units: one draw per element."""
+    scale = _dropout_scale(t.shape, rate, rng, training)
+    return t if scale is None else t * Tensor(scale)
 
 
 def quaternion_dropout(q: QTensor, rate: float, rng: np.random.Generator | None,
                        training: bool) -> QTensor:
     """Inverted dropout of whole quaternion units.
 
-    One Bernoulli(1-rate) mask is drawn per unit (over the plane shape),
-    repeated over the four component blocks and scaled by 1/(1-rate).
+    One draw per unit (over the plane shape), repeated over the four
+    component blocks, so a unit's components are kept or dropped together.
     Identity when not training or when rate is 0.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    scale = _dropout_scale(q.shape, rate, rng, training)
+    if scale is None:
         return q
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.random(q.shape) >= rate) / (1.0 - rate)
-    return QTensor.of(q.stacked() * Tensor(np.concatenate([mask] * 4, axis=1)))
+    return QTensor.of(q.stacked() * Tensor(np.concatenate([scale] * 4, axis=1)))
 
 
 @dataclass(frozen=True)

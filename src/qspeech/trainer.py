@@ -28,7 +28,7 @@ from .ctc import SymbolTable, batch_ctc_loss, best_path_decode, ctc_loss, min_al
 from .data import Batch, Utterance, make_batches
 from .errors import DataError
 from .metrics import apply_phone_map, per
-from .model import QCNNModel, build_model
+from .model import CNNModel, build_model
 from .optim import SGD, Adam, apply_l2
 
 __all__ = ["TrainResult", "Trainer", "decode_dataset", "evaluate_per",
@@ -57,6 +57,8 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
     best_epoch: int = -1
     best_metric: float = float("inf")
+    # The checkpoint that recorded the best metric: this run's best.ckpt,
+    # or the resumed checkpoint if no epoch of this run improved on it.
     best_path: Path | None = None
     last_path: Path | None = None
 
@@ -68,7 +70,7 @@ def _feasible(batch: Batch) -> tuple[list[int], int]:
     return ok, len(batch.targets) - len(ok)
 
 
-def _batch_loss_nodes(model: QCNNModel, batch: Batch, training: bool,
+def _batch_loss_nodes(model: CNNModel, batch: Batch, training: bool,
                       rng: np.random.Generator | None):
     logits = model.forward(batch.features, training=training, rng=rng)
     pairs = []
@@ -80,7 +82,7 @@ def _batch_loss_nodes(model: QCNNModel, batch: Batch, training: bool,
 
 class Trainer:
     def __init__(self, cfg: RunConfig, table: SymbolTable,
-                 model: QCNNModel | None = None, log_stream=None):
+                 model: CNNModel | None = None, log_stream=None):
         cfg.validate()
         self.cfg = cfg
         self.table = table
@@ -92,6 +94,7 @@ class Trainer:
         self.start_epoch = 0
         self.best_metric = float("inf")
         self.best_epoch = -1
+        self.resumed_from: Path | None = None
         self._resume_opt_state: dict | None = None
 
     # -- checkpoint plumbing ----------------------------------------------
@@ -128,6 +131,7 @@ class Trainer:
         if state["best_metric"] is not None:
             self.best_metric = float(state["best_metric"])
         self.best_epoch = int(state["best_epoch"])
+        self.resumed_from = Path(path)
         self._resume_opt_state = {**state["optimizer"], "buffers": state["opt_buffers"]}
 
     # -- core loops ---------------------------------------------------------
@@ -158,9 +162,8 @@ class Trainer:
         cfg = self.cfg
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = TrainResult(best_epoch=self.best_epoch, best_metric=self.best_metric)
-        result.best_path = out_dir / "best.ckpt"
-        result.last_path = out_dir / "last.ckpt"
+        result = TrainResult(best_epoch=self.best_epoch, best_metric=self.best_metric,
+                             best_path=self.resumed_from, last_path=out_dir / "last.ckpt")
 
         total = cfg.train.epochs + cfg.train.fine_tune_epochs
         optimizer = None
@@ -194,6 +197,7 @@ class Trainer:
             if metric < result.best_metric:
                 result.best_metric = metric
                 result.best_epoch = epoch + 1
+                result.best_path = out_dir / "best.ckpt"
                 self.save(result.best_path, epoch + 1, phase, optimizer, metric,
                           best_epoch=epoch + 1)
             self.save(result.last_path, epoch + 1, phase, optimizer, result.best_metric,
@@ -237,7 +241,7 @@ def restore_parameters(model, params: dict[str, np.ndarray]) -> None:
         p.data = params[name].astype(np.float64).copy()
 
 
-def evaluate_loss(model: QCNNModel, utts: list[Utterance], table: SymbolTable,
+def evaluate_loss(model: CNNModel, utts: list[Utterance], table: SymbolTable,
                   batch_size: int) -> float:
     total, n = 0.0, 0
     for batch in make_batches(utts, table, batch_size):
@@ -252,7 +256,7 @@ def evaluate_loss(model: QCNNModel, utts: list[Utterance], table: SymbolTable,
     return total / n if n else float("inf")
 
 
-def decode_dataset(model: QCNNModel, utts: list[Utterance], table: SymbolTable,
+def decode_dataset(model: CNNModel, utts: list[Utterance], table: SymbolTable,
                    batch_size: int = 8) -> dict[str, list[str]]:
     """Greedy transcripts for every utterance, keyed by utterance id."""
     out: dict[str, list[str]] = {}
@@ -266,7 +270,7 @@ def decode_dataset(model: QCNNModel, utts: list[Utterance], table: SymbolTable,
     return out
 
 
-def evaluate_per(model: QCNNModel, utts: list[Utterance], table: SymbolTable,
+def evaluate_per(model: CNNModel, utts: list[Utterance], table: SymbolTable,
                  phone_map=None, batch_size: int = 8) -> float:
     hyps = decode_dataset(model, utts, table, batch_size)
     pairs = []

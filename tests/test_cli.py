@@ -68,8 +68,18 @@ def test_extract_writes_features_and_manifest(corpus, tmp_path, capsys):
     assert len(lines) == 8
     from qspeech.features import load_features
     first_path = lines[0].split("\t")[1]
-    fs = load_features(first_path)
+    assert first_path == "tone000.qfeat"    # relative to the manifest's directory
+    fs = load_features(out / first_path)
     assert fs.width == 41
+
+
+def test_extract_to_relative_dir_gives_loadable_manifest(corpus, tmp_path, monkeypatch):
+    from qspeech.config import FeatureConfig
+    from qspeech.data import load_dataset
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", "--manifest", str(corpus), "--out", "feats"]) == 0
+    utts = load_dataset("feats/manifest.tsv", FeatureConfig())
+    assert len(utts) == 8 and all(u.features.shape[1] == 41 for u in utts)
 
 
 def test_extract_parallel_matches_serial(corpus, tmp_path):
@@ -92,6 +102,19 @@ def test_extract_missing_wav_exits_two(tmp_path):
 def test_train_writes_log_and_checkpoints(trained_run, capsys):
     assert (trained_run / "best.ckpt").exists()
     assert (trained_run / "last.ckpt").exists()
+
+
+def test_resume_of_finished_run_names_an_existing_checkpoint(
+        trained_run, corpus, tiny_config, tmp_path, capsys):
+    from qspeech.checkpoint import load_checkpoint
+    last = trained_run / "last.ckpt"
+    capsys.readouterr()
+    assert main(["train", "--config", str(tiny_config), "--manifest", str(corpus),
+                 "--out", str(tmp_path / "run2"), "--checkpoint", str(last)]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-1].startswith(f"best epoch {load_checkpoint(last)['best_epoch']} (per=")
+    assert out[-1].endswith(f" inherited from {last}")
+    assert not (tmp_path / "run2" / "best.ckpt").exists()
 
 
 def test_eval_reports_per(trained_run, corpus, capsys):

@@ -8,6 +8,7 @@ from qspeech.qlayers import QTensor
 
 SMALL = ModelConfig(n_conv_layers=2, conv_channels=3, n_dense_layers=1,
                     dense_width=8, in_freq=9, dropout=0.3)
+BUILDERS = (build_model, build_real_model)   # the quaternion model and its real twin
 
 
 def features(rng, batch, freq, time):
@@ -27,19 +28,21 @@ def test_forward_smoke_shapes():
 
 
 def test_training_forward_uses_dropout():
-    rng = np.random.default_rng(1)
-    model = build_model(SMALL, n_classes=5, rng=rng)
-    x = features(rng, 1, 9, 6)
-    quiet = model.forward(x, training=False)
-    noisy = model.forward(x, training=True, rng=np.random.default_rng(2))
-    assert not np.array_equal(quiet.data, noisy.data)
+    for build in BUILDERS:
+        rng = np.random.default_rng(1)
+        model = build(SMALL, n_classes=5, rng=rng)
+        x = features(rng, 1, 9, 6)
+        quiet = model.forward(x, training=False)
+        noisy = model.forward(x, training=True, rng=np.random.default_rng(2))
+        assert not np.array_equal(quiet.data, noisy.data)
 
 
 def test_time_axis_never_pooled():
-    rng = np.random.default_rng(3)
-    model = build_model(SMALL, n_classes=4, rng=rng)
-    for t in (5, 17, 30):
-        assert model.forward(features(rng, 1, 9, t)).shape[1] == t
+    for build in BUILDERS:
+        rng = np.random.default_rng(3)
+        model = build(SMALL, n_classes=4, rng=rng)
+        for t in (5, 17, 30):
+            assert model.forward(features(rng, 1, 9, t)).shape[1] == t
 
 
 def test_dense_pair_parameter_counts():
@@ -97,32 +100,34 @@ def test_invalid_config_rejected_with_field():
 
 
 def test_layer_table_matches_total():
-    rng = np.random.default_rng(8)
-    model = build_model(SMALL, n_classes=5, rng=rng)
-    assert sum(n for _, _, n in model.layer_table()) == count_params(model)
+    for build in BUILDERS:
+        rng = np.random.default_rng(8)
+        model = build(SMALL, n_classes=5, rng=rng)
+        assert sum(n for _, _, n in model.layer_table()) == count_params(model)
 
 
 def test_parameter_names_unique():
-    rng = np.random.default_rng(9)
-    model = build_model(SMALL, n_classes=5, rng=rng)
-    names = [n for n, _ in model.parameters()]
-    assert len(names) == len(set(names))
+    for build in BUILDERS:
+        rng = np.random.default_rng(9)
+        model = build(SMALL, n_classes=5, rng=rng)
+        names = [n for n, _ in model.parameters()]
+        assert len(names) == len(set(names))
 
 
 def test_regularized_excludes_first_conv_head_and_biases():
-    rng = np.random.default_rng(10)
-    model = build_model(SMALL, n_classes=5, rng=rng)
-    reg = {n for n, _ in model.regularized_parameters()}
-    assert all(".w." in n for n in reg)
-    assert not any(n.startswith("conv0.") for n in reg)
-    assert not any(n.startswith("head") for n in reg)
-    assert any(n.startswith("conv1.") for n in reg)
-    assert any(n.startswith("dense0.") for n in reg)
+    for build in BUILDERS:
+        rng = np.random.default_rng(10)
+        model = build(SMALL, n_classes=5, rng=rng)
+        reg = {n for n, _ in model.regularized_parameters()}
+        # quaternion weights are "<layer>.w.<component>", real ones "<layer>.w"
+        assert all(n.split(".")[1] == "w" for n in reg)
+        assert not any(n.startswith("conv0.") for n in reg)
+        assert not any(n.startswith("head") for n in reg)
+        assert any(n.startswith("conv1.") for n in reg)
+        assert any(n.startswith("dense0.") for n in reg)
 
 
 def test_real_model_forward_shape():
     rng = np.random.default_rng(11)
     model = build_real_model(SMALL, n_classes=5, rng=rng)
-    from qspeech.autodiff import Tensor
-    x = Tensor(rng.normal(size=(2, 4, 9, 7)))
-    assert model.forward(x).shape == (2, 7, 5)
+    assert model.forward(features(rng, 2, 9, 7)).shape == (2, 7, 5)

@@ -6,7 +6,7 @@ from qspeech.autodiff import Tensor, backward, conv2d
 from qspeech.gradcheck import check_gradients
 from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor,
                              block_weight_matrix, compose_polar, quaternion_dropout,
-                             quaternion_init, split_maxpool_freq)
+                             quaternion_init, split_maxpool_freq, unit_dropout)
 from qspeech.selftest import hamilton_conv2d, hamilton_dense
 
 
@@ -348,6 +348,10 @@ class TestDropout:
         # a dropped unit is dropped in all four components
         assert dropped.any()
         assert (dropped == dropped[0]).all()
+        # the real twin's dropout draws per real unit: the blocks differ
+        real = unit_dropout(q.stacked(), 0.5, rng, training=True).data.reshape(4, 4, 100)
+        dropped = real == 0.0
+        assert dropped.any() and not (dropped == dropped[:, :1]).all()
 
     def test_survivors_scaled(self):
         rng = np.random.default_rng(22)

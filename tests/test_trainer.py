@@ -11,7 +11,7 @@ from qspeech.config import ModelConfig, RunConfig, TrainConfig
 from qspeech.ctc import SymbolTable
 from qspeech.data import Utterance, batch_to_qtensor, synth_toy_dataset
 from qspeech.errors import DataError
-from qspeech.model import build_model
+from qspeech.model import build_model, build_real_model
 from qspeech.optim import Adam
 from qspeech.trainer import (Trainer, decode_dataset, evaluate_loss, evaluate_per,
                              restore_parameters)
@@ -316,3 +316,15 @@ def test_resume_of_finished_run_keeps_best_epoch(tmp_path):
     res = resumed.train(utts[:6], utts[6:], tmp_path)
     assert res.history == []
     assert (res.best_epoch, res.best_metric) == (full.best_epoch, full.best_metric)
+
+
+def test_real_twin_trains_through_trainer():
+    cfg = tiny_cfg()
+    table = SymbolTable(SYMBOLS)
+    model = build_real_model(cfg.model, table.num_classes, np.random.default_rng(12))
+    trainer = Trainer(cfg, table, model=model, log_stream=io.StringIO())
+    assert trainer.model is model
+    optimizer = Adam(trainer.params, lr=cfg.train.adam_lr)
+    utts = tiny_data(seed=12)
+    losses = [trainer._run_epoch(optimizer, utts)[0] for _ in range(4)]
+    assert losses == sorted(losses, reverse=True) and losses[-1] < 0.9 * losses[0], losses
