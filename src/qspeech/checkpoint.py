@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -56,12 +57,22 @@ def save_checkpoint(path: str | Path, *, params: dict[str, np.ndarray],
     digest = hashlib.sha256()
     for chunk in body:
         digest.update(chunk)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(digest.digest())
-        for chunk in body:
-            f.write(chunk)
+    # Written beside the target and renamed over it, so a crash mid-write
+    # leaves the previous checkpoint intact.
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(digest.digest())
+            for chunk in body:
+                f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -74,6 +85,8 @@ def load_checkpoint(path: str | Path) -> dict:
         raise DataError(f"{path}: cannot read checkpoint ({e})") from None
     if raw[:len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: bad magic, not a checkpoint")
+    if len(raw) < len(MAGIC) + 4 + 32 + 4:     # version, digest, header length
+        raise DataError(f"{path}: truncated checkpoint")
     off = len(MAGIC)
     (version,) = struct.unpack_from("<I", raw, off)
     off += 4

@@ -51,7 +51,12 @@ def _resolve_phone_map(arg: str | None):
         with resources.as_file(resources.files("qspeech").joinpath(
                 "data/timit_61to39.txt")) as p:
             return load_phone_map(p)
-    return load_phone_map(arg)
+    try:
+        return load_phone_map(arg)
+    except OSError as e:
+        raise DataError(f"{arg}: cannot read phone map ({e})") from None
+    except ValueError as e:      # a malformed line, or bytes that are not UTF-8
+        raise DataError(str(e)) from None
 
 
 def _extract_one(job) -> tuple[str, str]:

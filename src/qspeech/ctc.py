@@ -8,9 +8,10 @@ then removes blanks. The sum runs over the blank-augmented label sequence
 dynamic program, entirely in log space so long utterances cannot
 underflow.
 
-``ctc_loss`` returns both the loss and its analytic gradient with respect
-to the raw logits (softmax included); ``ctc_loss_node`` wraps the same
-computation as an autodiff graph node. ``best_path_decode`` is greedy:
+One forward recursion runs over a padded batch, and beta is the same
+recursion on each example reversed. ``batch_ctc_loss`` is one autodiff
+node over padded (batch, frames, classes) logits plus lengths; ``ctc_loss``
+and ``ctc_loss_node`` are batch-of-one calls. ``best_path_decode`` is greedy:
 per-frame argmax followed by the collapse function.
 """
 
@@ -90,12 +91,13 @@ def min_alignment_frames(target: Sequence[int]) -> int:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-def _augment(target: Sequence[int], blank: int) -> np.ndarray:
-    aug = np.full(2 * len(target) + 1, blank, dtype=np.int64)
-    aug[1::2] = target
+def _augment(targets: list[list[int]], blank: int) -> np.ndarray:
+    aug = np.full((len(targets), 2 * max(map(len, targets)) + 1), blank, dtype=np.int64)
+    for b, target in enumerate(targets):
+        aug[b, 1:2 * len(target):2] = target
     return aug
 
 
@@ -109,6 +111,11 @@ def ctc_loss(logits: np.ndarray, target: Sequence[int], blank: int
     """
     logits = np.asarray(logits, dtype=np.float64)
     n, k = logits.shape
+    loss, grad = _ctc(logits[None], np.array([n]), [_check(target, n, k, blank)], blank)
+    return float(loss[0]), grad[0]
+
+
+def _check(target: Sequence[int], n: int, k: int, blank: int) -> list[int]:
     target = list(target)
     if len(target) == 0:
         raise ValueError("CTC target must contain at least one label")
@@ -118,58 +125,56 @@ def ctc_loss(logits: np.ndarray, target: Sequence[int], blank: int
     if n < need:
         raise InfeasibleAlignment(
             f"target of length {len(target)} needs >= {need} frames, got {n}")
+    return target
 
-    aug = _augment(target, blank)
-    s_len = aug.size
-    logp = _log_softmax(logits)
-    lp = logp[:, aug]                      # (n, s_len): log p_t(l'_s)
 
+def _alpha(lp: np.ndarray, aug: np.ndarray, blank: int) -> np.ndarray:
+    """Forward variables log P(frames 0..t, state s) of a batch, from the
+    (B, T, S) log-probabilities of the augmented targets' states."""
     # Which states allow the diagonal skip s-2 -> s (label differs two back).
-    can_skip = np.zeros(s_len, dtype=bool)
-    can_skip[2:] = (aug[2:] != blank) & (aug[2:] != aug[:-2])
+    can_skip = np.zeros(aug.shape, dtype=bool)
+    can_skip[:, 2:] = (aug[:, 2:] != blank) & (aug[:, 2:] != aug[:, :-2])
+    # Two leading states that stay -inf make "one back" and "two back" slices.
+    alpha = np.full(lp.shape[:2] + (lp.shape[2] + 2,), NEG_INF)
+    alpha[:, 0, 2:4] = lp[:, 0, :2]
+    for t in range(1, lp.shape[1]):
+        prev = alpha[:, t - 1]
+        skip = np.where(can_skip, prev[:, :-2], NEG_INF)
+        alpha[:, t, 2:] = np.logaddexp(np.logaddexp(prev[:, 2:], prev[:, 1:-1]), skip) + lp[:, t]
+    return alpha[:, :, 2:]
 
-    alpha = np.full((n, s_len), NEG_INF)
-    alpha[0, 0] = lp[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = lp[0, 1]
-    for t in range(1, n):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-        skip = np.where(can_skip, skip, NEG_INF)
-        alpha[t] = _logsumexp3(stay, step, skip) + lp[t]
 
-    log_p = np.logaddexp(alpha[n - 1, s_len - 1],
-                         alpha[n - 1, s_len - 2] if s_len > 1 else NEG_INF)
-    loss = -log_p
+def _ctc(logits: np.ndarray, lengths: np.ndarray, targets: list[list[int]],
+         blank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Losses (B,) and their gradient wrt padded (B, T, K) logits."""
+    aug = _augment(targets, blank)
+    ex, frames, states = np.arange(len(aug)), np.arange(logits.shape[1]), np.arange(aug.shape[1])
+    s_len = 2 * np.array([len(target) for target in targets]) + 1
+    frame_ok = frames < lengths[:, None]                               # (B, T)
+    state_ok = states < s_len[:, None]                                 # (B, S)
+    logp = _log_softmax(logits)
+    lp = np.take_along_axis(logp, aug[:, None, :], axis=2)   # (B, T, S): log p_t(l'_s)
+    lp_in = np.where(state_ok[:, None], lp, NEG_INF)    # no path enters a padded state
+    alpha = _alpha(lp_in, aug, blank)
+    log_p = np.logaddexp(alpha[ex, lengths - 1, s_len - 1], alpha[ex, lengths - 1, s_len - 2])
 
-    beta = np.full((n, s_len), NEG_INF)
-    beta[n - 1, s_len - 1] = lp[n - 1, s_len - 1]
-    if s_len > 1:
-        beta[n - 1, s_len - 2] = lp[n - 1, s_len - 2]
-    for t in range(n - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt[1:], [NEG_INF]))
-        skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-        can_skip_fwd = np.zeros(s_len, dtype=bool)
-        can_skip_fwd[:-2] = can_skip[2:]
-        skip = np.where(can_skip_fwd, skip, NEG_INF)
-        beta[t] = _logsumexp3(stay, step, skip) + lp[t]
+    # Beta is alpha on each example reversed in time and in states (the reversed
+    # augmented target is the augmented reversed target); padding stays put.
+    rev_t = np.where(frame_ok, lengths[:, None] - 1 - frames, frames)
+    rev_s = np.where(state_ok, s_len[:, None] - 1 - states, states)
+    flip = (ex[:, None, None], rev_t[:, :, None], rev_s[:, None, :])
+    beta = _alpha(lp_in[flip], aug[ex[:, None], rev_s], blank)[flip]
 
     # d loss / d logits = softmax - posterior over states sharing the class.
-    # alpha*beta double-counts p_t(l'_s), hence the -lp term.
+    # alpha*beta double-counts p_t(l'_s), hence the -lp term (the finite lp,
+    # so a padded state gives -inf rather than nan).
+    occupancy = np.where(frame_ok[:, :, None] & state_ok[:, None], alpha + beta - lp, NEG_INF)
+    posterior = np.exp(occupancy - log_p[:, None, None])
     grad = np.exp(logp)
-    occupancy = alpha + beta - lp          # (n, s_len) in log space
-    for s in range(s_len):
-        kcls = aug[s]
-        grad[:, kcls] -= np.exp(occupancy[:, s] - log_p)
-    return float(loss), grad
-
-
-def _logsumexp3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.logaddexp(np.logaddexp(a, b), c)
+    grad[~frame_ok] = 0.0
+    for s in states:
+        grad[ex[:, None], frames, aug[:, s, None]] -= posterior[:, :, s]
+    return -log_p, grad
 
 
 def ctc_loss_node(logits: Tensor, target: Sequence[int], blank: int) -> Tensor:
@@ -181,23 +186,24 @@ def ctc_loss_node(logits: Tensor, target: Sequence[int], blank: int) -> Tensor:
     return out
 
 
-def batch_ctc_loss(batch: Sequence[tuple[Tensor, Sequence[int]]], blank: int
-                   ) -> tuple[Tensor, Tensor]:
-    """Summed and mean CTC loss over (logits, target) pairs.
-
-    Per-example infeasibility is re-raised with the example index
-    attached.
-    """
-    if not batch:
-        raise ValueError("batch_ctc_loss needs at least one example")
-    total: Tensor | None = None
-    for i, (logits, target) in enumerate(batch):
+def batch_ctc_loss(logits: Tensor, lengths: Sequence[int], targets: Sequence[Sequence[int]],
+                   blank: int) -> tuple[Tensor, Tensor]:
+    """Summed and mean CTC loss over padded (batch, frames, classes) logits, as one
+    node; example i reads ``lengths[i]`` frames. Errors name the example index."""
+    n_ex, n, k = logits.shape
+    if not 0 < n_ex == len(lengths) == len(targets) or max(lengths) > n:
+        raise ValueError("batch_ctc_loss needs one length <= n_frames and one target each")
+    checked = []
+    for i, (length, target) in enumerate(zip(lengths, targets)):
         try:
-            one = ctc_loss_node(logits, target, blank)
-        except InfeasibleAlignment as e:
-            raise InfeasibleAlignment(f"example {i}: {e}") from None
-        total = one if total is None else total + one
-    return total, total / len(batch)
+            checked.append(_check(target, length, k, blank))
+        except ValueError as e:
+            raise type(e)(f"example {i}: {e}") from None
+    losses, grad = _ctc(logits.data, np.asarray(lengths), checked, blank)
+    out = Tensor._result(np.add.accumulate(losses)[-1], (logits,))  # sum in example order
+    if out.requires_grad:
+        out._backward = lambda: logits._accum(out.grad * grad)
+    return out, out / n_ex
 
 
 def best_path_decode(logits: np.ndarray, blank: int) -> list[int]:

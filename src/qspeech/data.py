@@ -7,9 +7,11 @@ A manifest is plain text, one utterance per line::
 ``.wav`` paths are run through the acoustic front end on load; feature
 files produced by ``qspeech extract`` are loaded directly. Batches are
 bucketed by length: utterances are sorted by frame count, cut into
-consecutive groups, and zero-padded to the longest member; the padded
-frames never reach the loss because each example's logits are sliced to
-its true length.
+consecutive groups, and zero-padded to the longest member. The CTC loss
+reads only each example's first ``length`` frames, but the padding is not
+invisible: 'same' convolutions let it change the last frames of the
+shorter utterances' logits, so an utterance's outputs depend on what it is
+batched with.
 """
 
 from __future__ import annotations

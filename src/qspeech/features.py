@@ -61,10 +61,6 @@ class FeatureConfig:
     def hop_length(self) -> int:
         return int(round(self.sample_rate * self.hop_ms / 1000.0))
 
-    @property
-    def feature_width(self) -> int:
-        return self.n_mels + (1 if self.include_energy else 0)
-
 
 @dataclass
 class FeatureSequence:
@@ -216,7 +212,10 @@ def load_features(path: str | Path) -> FeatureSequence:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic, not a feature file")
-        version, n_frames, width = struct.unpack("<III", f.read(12))
+        header = f.read(12)
+        if len(header) != 12:
+            raise DataError(f"{path}: truncated feature file header")
+        version, n_frames, width = struct.unpack("<III", header)
         if version != VERSION:
             raise DataError(f"{path}: unsupported feature file version {version}")
         count = width * n_frames

@@ -70,16 +70,6 @@ def _feasible(batch: Batch) -> tuple[list[int], int]:
     return ok, len(batch.targets) - len(ok)
 
 
-def _batch_loss_nodes(model: CNNModel, batch: Batch, training: bool,
-                      rng: np.random.Generator | None):
-    logits = model.forward(batch.features, training=training, rng=rng)
-    pairs = []
-    ok, skipped = _feasible(batch)
-    for i in ok:
-        pairs.append((logits[i, :batch.lengths[i], :], batch.targets[i]))
-    return pairs, skipped
-
-
 class Trainer:
     def __init__(self, cfg: RunConfig, table: SymbolTable,
                  model: CNNModel | None = None, log_stream=None):
@@ -141,18 +131,21 @@ class Trainer:
         batches = make_batches(train_set, self.table, cfg.train.batch_size, rng=self.rng)
         total_loss, n_examples, skipped = 0.0, 0, 0
         for batch in batches:
-            pairs, batch_skipped = _batch_loss_nodes(
-                self.model, batch, training=True, rng=self.rng)
+            logits = self.model.forward(batch.features, training=True, rng=self.rng)
+            ok, batch_skipped = _feasible(batch)
             skipped += batch_skipped
-            if not pairs:
+            if not ok:
                 continue
-            loss_sum, loss_mean = batch_ctc_loss(pairs, self.table.blank_index)
+            if batch_skipped:
+                logits = logits[ok]
+            lengths, targets = [batch.lengths[i] for i in ok], [batch.targets[i] for i in ok]
+            loss_sum, loss_mean = batch_ctc_loss(logits, lengths, targets, self.table.blank_index)
             zero_grads(p for _, p in self.params)
             backward(loss_mean)
             apply_l2(self.model.regularized_parameters(), cfg.model.l2)
             optimizer.step()
             total_loss += loss_sum.data.item()
-            n_examples += len(pairs)
+            n_examples += len(ok)
         if n_examples == 0:
             raise DataError("every utterance in the epoch was infeasible for CTC")
         return total_loss / n_examples, skipped

@@ -119,3 +119,50 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"garbage file contents")
     with pytest.raises(DataError, match="magic"):
         load_checkpoint(path)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    # A save that dies part-way (disk full, kill) must not touch the
+    # checkpoint it was replacing, and must not leave its partial file.
+    import qspeech.checkpoint as ckpt_module
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, **sample_payload(np.random.default_rng(4)))
+    before = path.read_bytes()
+
+    class DiesAfter:
+        def __init__(self, f, budget):
+            self.f, self.budget = f, budget
+
+        def write(self, chunk):
+            n = memoryview(chunk).nbytes
+            if n > self.budget:
+                self.f.write(memoryview(chunk).cast("B")[:self.budget])
+                raise OSError("no space left on device")
+            self.budget -= n
+            return self.f.write(chunk)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+    monkeypatch.setattr(ckpt_module, "open",
+                        lambda *args, **kwargs: DiesAfter(open(*args, **kwargs), 100),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, **sample_payload(np.random.default_rng(5)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path)["params"].keys() == {"a.w", "b.w"}
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
+def test_truncated_header_is_data_error(tmp_path):
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(MAGIC + b"\x01\x00")
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(path)

@@ -175,3 +175,34 @@ def test_train_bad_manifest_exits_two(tiny_config, tmp_path):
     code = main(["train", "--config", str(tiny_config), "--manifest", str(bad),
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_eval_missing_phone_map_exits_two(trained_run, corpus, tmp_path):
+    code = main(["eval", "--checkpoint", str(trained_run / "best.ckpt"),
+                 "--manifest", str(corpus), "--phone-map", str(tmp_path / "absent.txt")])
+    assert code == 2
+
+
+def test_eval_malformed_phone_map_exits_two(trained_run, corpus, tmp_path):
+    pmap = tmp_path / "bad.txt"
+    pmap.write_text("mid lo hi\n", encoding="utf-8")
+    code = main(["eval", "--checkpoint", str(trained_run / "best.ckpt"),
+                 "--manifest", str(corpus), "--phone-map", str(pmap)])
+    assert code == 2
+
+
+def test_eval_feature_file_cut_in_header_exits_two(trained_run, tmp_path):
+    from qspeech.features import MAGIC
+    (tmp_path / "cut.qfeat").write_bytes(MAGIC + b"\x01\x00\x00")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("u1\tcut.qfeat\tlo\n", encoding="utf-8")
+    code = main(["eval", "--checkpoint", str(trained_run / "best.ckpt"),
+                 "--manifest", str(manifest)])
+    assert code == 2
+
+
+def test_decode_checkpoint_shorter_than_header_exits_two(trained_run, corpus, tmp_path):
+    short = tmp_path / "short.ckpt"
+    short.write_bytes((trained_run / "best.ckpt").read_bytes()[:8])   # inside the version field
+    code = main(["decode", "--checkpoint", str(short), "--manifest", str(corpus)])
+    assert code == 2

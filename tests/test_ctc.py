@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qspeech.autodiff import Tensor, backward, no_grad
+from qspeech.autodiff import Tensor, backward, concat, no_grad
 from qspeech.ctc import (SymbolTable, batch_ctc_loss, best_path_decode, collapse,
                          ctc_loss, ctc_loss_node, min_alignment_frames)
 from qspeech.errors import InfeasibleAlignment
@@ -153,52 +153,83 @@ class TestLoss:
         assert np.array_equal(g1, g2)
 
 
+def padded_batch(rng, n_examples, n_classes=5, max_labels=3):
+    """Random targets, their lengths, and (B, T, K) logits whose frames past
+    each length hold junk that must not reach the loss."""
+    targets = [rng.integers(0, n_classes - 1, size=int(rng.integers(1, max_labels + 1))).tolist()
+               for _ in range(n_examples)]
+    lengths = [min_alignment_frames(t) + int(rng.integers(0, 4)) for t in targets]
+    logits = rng.normal(scale=3.0, size=(n_examples, max(lengths), n_classes))
+    return logits, lengths, targets
+
+
 class TestBatchLoss:
     def test_batch_of_one_equals_single(self):
         rng = np.random.default_rng(7)
-        logits = Tensor(rng.normal(size=(5, 5)))
-        total, mean = batch_ctc_loss([(logits, [1, 0])], BLANK)
-        single, _ = ctc_loss(logits.data, [1, 0], BLANK)
+        logits = Tensor(rng.normal(size=(1, 5, 5)))
+        total, mean = batch_ctc_loss(logits, [5], [[1, 0]], BLANK)
+        single, _ = ctc_loss(logits.data[0], [1, 0], BLANK)
         assert total.data.item() == pytest.approx(single, abs=1e-14)
         assert mean.data.item() == pytest.approx(single, abs=1e-14)
 
     def test_duplicated_example_doubles_sum(self):
         rng = np.random.default_rng(8)
-        logits = Tensor(rng.normal(size=(6, 5)))
-        single, _ = ctc_loss(logits.data, [2, 3], BLANK)
-        total, mean = batch_ctc_loss([(logits, [2, 3]), (logits, [2, 3])], BLANK)
+        logits = rng.normal(size=(6, 5))
+        single, _ = ctc_loss(logits, [2, 3], BLANK)
+        total, mean = batch_ctc_loss(Tensor(np.stack([logits, logits])), [6, 6],
+                                     [[2, 3], [2, 3]], BLANK)
         assert total.data.item() == pytest.approx(2.0 * single, abs=1e-12)
         assert mean.data.item() == pytest.approx(single, abs=1e-12)
 
     def test_batch_equals_sum_of_independent_calls(self):
-        rng = np.random.default_rng(9)
-        examples = []
-        expected = 0.0
-        for _ in range(4):
-            n = int(rng.integers(3, 8))
-            target = rng.integers(0, 4, size=int(rng.integers(1, 3))).tolist()
-            logits = rng.normal(size=(n, 5))
-            examples.append((Tensor(logits), target))
-            expected += ctc_loss(logits, target, BLANK)[0]
-        total, _ = batch_ctc_loss(examples, BLANK)
+        # mixed frame and target lengths; padded frames hold junk
+        logits, lengths, targets = padded_batch(np.random.default_rng(9), 4, max_labels=2)
+        assert len(set(lengths)) > 1 and len(set(map(len, targets))) > 1
+        expected = sum(ctc_loss(logits[i, :n], t, BLANK)[0]
+                       for i, (n, t) in enumerate(zip(lengths, targets)))
+        total, mean = batch_ctc_loss(Tensor(logits), lengths, targets, BLANK)
         assert abs(total.data.item() - expected) < 1e-10
+        assert mean.data.item() == pytest.approx(expected / 4, abs=1e-12)
+        brute = sum(enumerate_loss(logits[i, :n], t, BLANK)
+                    for i, (n, t) in enumerate(zip(lengths, targets)))
+        assert abs(total.data.item() - brute) < 1e-8
 
     def test_infeasible_example_reports_index(self):
-        good = Tensor(np.zeros((5, 5)))
-        bad = Tensor(np.zeros((1, 5)))
+        logits = Tensor(np.zeros((2, 5, 5)))
         with pytest.raises(InfeasibleAlignment, match="example 1"):
-            batch_ctc_loss([(good, [0]), (bad, [0, 1])], BLANK)
+            batch_ctc_loss(logits, [5, 1], [[0], [0, 1]], BLANK)
 
     def test_batch_gradients_accumulate(self):
+        # one tensor feeding two examples receives the sum of their gradients
         rng = np.random.default_rng(10)
         logits = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
-        total, _ = batch_ctc_loss([(logits, [1]), (logits, [2])], BLANK)
+        row = logits.reshape((1, 5, 5))
+        total, _ = batch_ctc_loss(concat([row, row], axis=0), [5, 5], [[1], [2]], BLANK)
         backward(total)
         g_both = logits.grad.copy()
         logits.grad = None
         backward(ctc_loss_node(logits, [1], BLANK))
         backward(ctc_loss_node(logits, [2], BLANK))
         assert np.allclose(g_both, logits.grad, atol=1e-14)
+
+    def test_padded_examples_match_their_unpadded_slices(self):
+        rng = np.random.default_rng(12)
+        for n_examples in (1, 2, 3, 5, 8):
+            logits, lengths, targets = padded_batch(rng, n_examples, n_classes=7, max_labels=5)
+            t = Tensor(logits, requires_grad=True)
+            backward(batch_ctc_loss(t, lengths, targets, 6)[0])
+            for i, (n, target) in enumerate(zip(lengths, targets)):
+                loss, grad = ctc_loss(logits[i, :n], target, 6)
+                alone, _ = batch_ctc_loss(Tensor(logits[i:i + 1]), [n], [target], 6)
+                assert alone.data.item() == loss
+                assert np.array_equal(t.grad[i, :n], grad)
+                assert np.all(t.grad[i, n:] == 0.0)
+
+    def test_gradient_matches_finite_differences(self):
+        logits, lengths, targets = padded_batch(np.random.default_rng(13), 3)
+        t = Tensor(logits, requires_grad=True)
+        err = check_gradients(lambda: batch_ctc_loss(t, lengths, targets, BLANK)[1], [t])
+        assert err < 1e-4
 
 
 class TestDecode:

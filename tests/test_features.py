@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspeech.errors import DataError
-from qspeech.features import (FeatureConfig, FeatureSequence, delta, extract,
+from qspeech.features import (MAGIC, FeatureConfig, FeatureSequence, delta, extract,
                               load_features, log_mel_energies, mel_filterbank,
                               pack_quaternions, read_wav, save_features,
                               unpack_quaternions, hz_to_mel, mel_to_hz)
@@ -228,4 +228,7 @@ class TestFeatureFiles:
         save_features(p, fs)
         p.write_bytes(p.read_bytes()[:-10])
         with pytest.raises(DataError):
+            load_features(p)
+        p.write_bytes(MAGIC + b"\x01\x00\x00\x00\x05")    # cut inside the header
+        with pytest.raises(DataError, match="truncated"):
             load_features(p)

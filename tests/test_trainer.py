@@ -284,6 +284,36 @@ def test_train_step_graph_freed_by_refcount():
             gc.enable()
 
 
+def test_train_step_records_one_ctc_node(monkeypatch):
+    # Between the model's logits and the loss handed to backward there is
+    # one CTC node for the whole batch, plus the node that takes the mean.
+    from qspeech import trainer as trainer_module
+    cfg = tiny_cfg(batch_size=6)
+    utts = tiny_data(seed=7)[:6]
+    trainer = Trainer(cfg, SymbolTable(SYMBOLS), log_stream=io.StringIO())
+    optimizer = Adam(trainer.params, lr=cfg.train.adam_lr)
+    logits, graphs = [], []
+    _spy_logits(trainer.model, logits)
+    real_backward = trainer_module.backward
+
+    def spy(loss):
+        nodes, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if node.requires_grad and node is not logits[-1] \
+                    and all(node is not n for n in nodes):
+                nodes.append(node)
+                stack.extend(node._parents)
+        graphs.append([(node, node._parents) for node in nodes])   # backward releases them
+        real_backward(loss)
+    monkeypatch.setattr(trainer_module, "backward", spy)
+
+    _, skipped = trainer._run_epoch(optimizer, utts)   # one batch: one train step
+    assert skipped == 0 and len(graphs) == 1
+    (_, mean_parents), (total, total_parents) = graphs[0]
+    assert mean_parents[0] is total and total_parents == (logits[-1],)
+
+
 def test_training_and_evaluation_leave_no_cyclic_garbage():
     cfg = tiny_cfg(batch_size=3)
     utts = tiny_data(seed=8)
