@@ -21,7 +21,11 @@ All data is stored as contiguous float64 numpy arrays. numpy supplies the
 array arithmetic; the differentiation rules live here.
 
 ``conv2d`` computes cross-correlation (no kernel flip) with zero padding,
-the usual deep-learning convention.
+the usual deep-learning convention. It runs as a few shifted GEMMs on a
+padded channels-last copy of the input and builds no im2col matrix; that
+padded copy is all its backward closure keeps, so a conv node holds about
+the bytes of its input. ``prelu`` likewise keeps only its input and slopes
+and rebuilds its gain in the backward.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from contextvars import ContextVar
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["Tensor", "backward", "no_grad", "matmul", "prelu", "conv2d", "maxpool1d",
            "concat"]
@@ -217,18 +221,34 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     if x.data.ndim < 2 or slopes.data.shape != (x.data.shape[1],):
         raise ValueError(f"PReLU needs one slope per axis-1 channel of {x.data.shape}, "
                          f"got {slopes.data.shape}")
-    a = slopes.data.reshape((-1,) + (1,) * (x.data.ndim - 2))
-    gain = a * (x.data < 0.0)   # d out / d v: a where v < 0, 1 where v > 0, else 0
-    gain += x.data > 0.0
-    out = Tensor._result(x.data * gain, (x, slopes))
+    a_shape = slopes.data.shape + (1,) * (x.data.ndim - 2)
+
+    def gain():   # d out / d v: a where v < 0, 1 where v > 0, else 0
+        g = slopes.data.reshape(a_shape) * (x.data < 0.0)
+        g += x.data > 0.0
+        return g
+
+    out = Tensor._result(x.data * gain(), (x, slopes))
     if out.requires_grad:
+        # The closure keeps x and the slopes only; the gain is rebuilt.
         def bw():
-            x._accum(out.grad * gain)
+            x._accum(out.grad * gain())
             if slopes.requires_grad:
-                slopes._accum(_unbroadcast(out.grad * np.minimum(x.data, 0.0), a.shape)
-                              .reshape(slopes.data.shape))
+                g = _unbroadcast(out.grad * np.minimum(x.data, 0.0), a_shape)
+                slopes._accum(g.reshape(slopes.data.shape))
         out._backward = bw
     return out
+
+
+def _strip(xp: np.ndarray, rows: int, kw: int) -> np.ndarray:
+    """Time-tap matrix of a padded channels-last input ``xp``.
+
+    Seen as flat rows of C channels, row ``r`` of the result holds rows
+    ``r .. r+kw-1`` of ``xp`` side by side. It is a fresh contiguous copy,
+    so the caller can drop it.
+    """
+    c, s = xp.shape[-1], xp.itemsize
+    return np.ascontiguousarray(as_strided(xp, (rows, kw * c), (c * s, s), writeable=False))
 
 
 def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
@@ -237,8 +257,19 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
 
     ``x`` has shape (batch, c_in, H, W), ``w`` has shape
     (c_out, c_in, kh, kw). Output spatial size per axis is
-    ``(extent + 2*pad - k) // stride + 1``. Implemented as im2col plus one
-    matrix product.
+    ``(extent + 2*pad - k) // stride + 1``.
+
+    Shifted GEMMs, with no im2col matrix. The input is padded once into a
+    channels-last, frequency-major copy ``xp`` (H', B, W', C); seen as flat
+    rows of C channels, tap (u, v) of output row ``r`` is row
+    ``r + u*B*W' + v``. A transient strip (``_strip``) puts the kw time
+    taps of each row side by side, and one contiguous GEMM per frequency
+    tap adds into the output rows. Being frequency-major, the GEMMs skip
+    the padding rows of the frequency axis; rows whose window wraps past
+    the end of a time row are computed and discarded, as are the rows
+    between strides. The backward closure keeps only ``xp``: the weight
+    gradient rebuilds the strip, and the input gradient adds one GEMM per
+    frequency tap into shifted rows.
     """
     sh, sw = stride
     ph, pw = padding
@@ -253,29 +284,46 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     if sh < 1 or sw < 1:
         raise ValueError("conv2d: stride must be >= 1")
 
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (wd + 2 * pw - kw) // sw + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * ow, cin * kh * kw)
-    wmat = w.data.reshape(cout, cin * kh * kw)
-    out_data = (cols @ wmat.T).reshape(bsz, oh, ow, cout).transpose(0, 3, 1, 2)
+    hp, wp = h + 2 * ph, wd + 2 * pw
+    oh = (hp - kh) // sh + 1
+    ow = (wp - kw) // sw + 1
+    valid = (slice(0, sh * (oh - 1) + 1, sh), slice(None), slice(0, sw * (ow - 1) + 1, sw))
+    xp = np.zeros((hp, bsz, wp, cin))
+    xp[ph:ph + h, :, pw:pw + wd] = x.data.transpose(2, 0, 3, 1)
+    fs = bsz * wp                                  # flat rows per frequency row
+    n = hp * fs
+    m = max(n - (kh - 1) * fs - (kw - 1), 0)      # rows whose taps all lie in xp
+    rows = m + (kh - 1) * fs
 
-    out = Tensor._result(out_data, (x, w))
+    def kernel_mats():   # one (kw*cin, cout) matrix per frequency tap, rows in strip order
+        return w.data.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
+
+    strip = _strip(xp, rows, kw)
+    wk = kernel_mats()
+    grid = np.empty((n, cout))
+    np.matmul(strip[:m], wk[0], out=grid[:m])
+    for u in range(1, kh):
+        grid[:m] += strip[u * fs:u * fs + m] @ wk[u]
+    del strip
+    out = Tensor._result(grid.reshape(hp, bsz, wp, cout)[valid].transpose(1, 3, 0, 2), (x, w))
     if out.requires_grad:
-        padded_shape = xp.shape   # the closure keeps cols, not the padded input
         def bw():
-            g = out.grad.transpose(0, 2, 3, 1).reshape(bsz * oh * ow, cout)
+            g = np.zeros((n, cout))
+            g.reshape(hp, bsz, wp, cout)[valid] = out.grad.transpose(2, 0, 3, 1)
+            g = g[:m]
             if w.requires_grad:
-                w._accum((g.T @ cols).reshape(cout, cin, kh, kw))
+                strip = _strip(xp, rows, kw)
+                gw = np.stack([strip[u * fs:u * fs + m].T @ g for u in range(kh)])
+                del strip
+                w._accum(gw.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
             if x.requires_grad:
-                gwin = (g @ wmat).reshape(bsz, oh, ow, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-                gxp = np.zeros(padded_shape)
-                for u in range(kh):
+                gxp = np.zeros((n, cin))
+                for u, wku in enumerate(kernel_mats()):
+                    part = g @ wku.T   # gradient of the strip rows this tap's GEMM read
                     for v in range(kw):
-                        gxp[:, :, u:u + sh * (oh - 1) + 1:sh,
-                            v:v + sw * (ow - 1) + 1:sw] += gwin[:, :, :, :, u, v]
-                x._accum(gxp[:, :, ph:ph + h, pw:pw + wd])
+                        gxp[u * fs + v:u * fs + v + m] += part[:, v * cin:(v + 1) * cin]
+                x._accum(gxp.reshape(hp, bsz, wp, cin)[ph:ph + h, :, pw:pw + wd]
+                         .transpose(1, 3, 0, 2))
         out._backward = bw
     return out
 

@@ -59,6 +59,15 @@ def _resolve_phone_map(arg: str | None):
         raise DataError(str(e)) from None
 
 
+def _make_out_dir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:     # an existing file, or a parent that is one
+        raise DataError(f"{path}: cannot create output directory ({e.strerror})") from None
+    return out
+
+
 def _extract_one(job) -> tuple[str, str]:
     utt_id, wav_path, out_path, feat_cfg = job
     wave, _ = read_wav(wav_path, expect_rate=feat_cfg.sample_rate)
@@ -68,8 +77,7 @@ def _extract_one(job) -> tuple[str, str]:
 
 def cmd_extract(args) -> int:
     cfg = _load_cfg(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     entries = read_manifest(args.manifest)
     jobs = []
     for utt_id, wav_path, labels in entries:
@@ -122,7 +130,7 @@ def cmd_train(args) -> int:
     trainer = Trainer(cfg, table)
     if args.checkpoint:
         trainer.resume(args.checkpoint)
-    result = trainer.train(train_set, dev_set, args.out)
+    result = trainer.train(train_set, dev_set, _make_out_dir(args.out))
     # A resumed run that never improved keeps the best of the checkpoint it resumed.
     how = "->" if result.best_epoch > trainer.start_epoch else "inherited from"
     print(f"best epoch {result.best_epoch} "
@@ -155,7 +163,10 @@ def cmd_decode(args) -> int:
     lines = [f"{u.utt_id}\t{' '.join(hyps[u.utt_id])}" for u in utts]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise DataError(f"{args.out}: cannot write transcripts ({e.strerror})") from None
         print(f"wrote {len(lines)} transcripts to {args.out}")
     else:
         sys.stdout.write(text)

@@ -1,4 +1,5 @@
 import gc
+import types
 import weakref
 import zlib
 
@@ -83,6 +84,59 @@ def test_conv2d_matches_naive_loops(stride, padding):
     assert np.allclose(out.data, naive_conv2d(x, w, stride, padding), atol=1e-12)
 
 
+# A 3x5 kernel on a batch of 3. With padding (0, 0) no zero columns separate
+# the time rows, so the windows of the discarded flat rows wrap into the next
+# utterance and the next frequency row.
+@pytest.mark.parametrize("cin", [4, 7])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("padding", [(0, 0), (1, 2)])
+def test_conv2d_3x5_matches_naive_loops(cin, stride, padding):
+    rng = np.random.default_rng([cin, *stride, *padding])
+    x = rng.normal(size=(3, cin, 6, 9))
+    w = rng.normal(size=(5, cin, 3, 5))
+    out = conv2d(Tensor(x), Tensor(w), stride, padding)
+    assert np.allclose(out.data, naive_conv2d(x, w, stride, padding), atol=1e-12)
+
+
+def test_conv2d_gradient_3x5_same_padding():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 2, 4, 7)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 5)), requires_grad=True)
+    fn = lambda: (conv2d(x, w, (1, 1), (1, 2)) * conv2d(x, w, (1, 1), (1, 2))).sum()
+    assert check_gradients(fn, [x, w]) < 1e-5
+
+
+def test_conv2d_empty_batch():
+    x = Tensor(np.zeros((0, 2, 5, 6)), requires_grad=True)
+    w = Tensor(np.ones((3, 2, 3, 5)), requires_grad=True)
+    out = conv2d(x, w, (1, 1), (1, 2))
+    assert out.shape == (0, 3, 5, 6)
+    backward(out.sum())
+    assert x.grad.shape == x.shape and not np.any(w.grad)
+
+
+def _closure_arrays(fn):
+    """The numpy arrays a closure holds, also through the functions it holds."""
+    arrays = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, types.FunctionType):
+            arrays += _closure_arrays(value)
+    return arrays
+
+
+def test_conv2d_backward_keeps_only_the_padded_input():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 32, 6, 10)), requires_grad=True)
+    w = Tensor(rng.normal(size=(32, 32, 3, 5)), requires_grad=True)
+    out = conv2d(x, w, (1, 1), (1, 2))
+    padded_bytes = 2 * 32 * (6 + 2) * (10 + 4) * 8
+    # an im2col matrix would hold every input value 15 times
+    assert sum(a.nbytes for a in _closure_arrays(out._backward)) <= padded_bytes
+
+
 def test_conv2d_geometry_errors():
     with pytest.raises(ValueError):
         conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
@@ -161,6 +215,15 @@ def test_prelu_hand_values():
     assert np.array_equal(slopes.grad, [-2.0, -0.5, 0.0])
     with pytest.raises(ValueError):
         prelu(x, Tensor(np.ones(2)))
+
+
+def test_prelu_backward_keeps_no_gain_array():
+    x = Tensor(np.random.default_rng(13).normal(size=(2, 3, 4)), requires_grad=True)
+    slopes = Tensor([0.25, 0.5, 2.0], requires_grad=True)
+    out = prelu(x, slopes)
+    # the gain a*(x<0) + (x>0) is rebuilt from x in the backward
+    assert all(np.shares_memory(a, x.data) or np.shares_memory(a, slopes.data)
+               for a in _closure_arrays(out._backward))
 
 
 def test_forward_deterministic():

@@ -206,3 +206,26 @@ def test_decode_checkpoint_shorter_than_header_exits_two(trained_run, corpus, tm
     short.write_bytes((trained_run / "best.ckpt").read_bytes()[:8])   # inside the version field
     code = main(["decode", "--checkpoint", str(short), "--manifest", str(corpus)])
     assert code == 2
+
+
+def test_decode_out_in_missing_directory_exits_two(trained_run, corpus, tmp_path, capsys):
+    code = main(["decode", "--checkpoint", str(trained_run / "best.ckpt"),
+                 "--manifest", str(corpus), "--out", str(tmp_path / "absent" / "hyp.tsv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_train_out_naming_a_file_exits_two(corpus, tiny_config, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code = main(["train", "--config", str(tiny_config), "--manifest", str(corpus),
+                 "--out", str(taken)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_extract_out_naming_a_file_exits_two(corpus, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["extract", "--manifest", str(corpus), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
