@@ -5,9 +5,10 @@ Builds the paper config (``ModelConfig()`` defaults, 61 symbols) and one
 batch of ``--batch`` ``synth_toy_dataset`` utterances, each exactly
 ``--frames`` frames long. Then it runs one step the way the trainer does:
 the forward pass with dropout on, ``batch_ctc_loss`` and ``backward``. It
-prints the summed loss, the seconds of the forward (CTC loss included) and
-of the backward, and the peak resident set size of the process
-(``ru_maxrss``).
+prints the bytes the graph holds when ``backward`` starts
+(``autodiff.graph_nbytes``, parameters not counted), the summed loss, the
+seconds of the forward (CTC loss included) and of the backward, and the
+peak resident set size of the process (``ru_maxrss``).
 
 Usage: python3 scripts/step_memory.py --batch 8 --frames 300 [--seed N]
 
@@ -23,7 +24,7 @@ import time
 
 import numpy as np
 
-from qspeech.autodiff import backward
+from qspeech.autodiff import backward, graph_nbytes
 from qspeech.config import ModelConfig
 from qspeech.ctc import SymbolTable, batch_ctc_loss
 from qspeech.data import make_batches, synth_toy_dataset
@@ -58,14 +59,17 @@ def main() -> int:
         loss_sum, loss_mean = batch_ctc_loss(logits, batch.lengths, batch.targets,
                                              table.blank_index)
         t1 = time.perf_counter()
+        held = graph_nbytes(loss_mean, stop=[p for _, p in model.parameters()])
+        print(f"graph holds {held / 2**20:.0f} MB at the start of backward")
         stage = "backward"
-        backward(loss_mean)
         t2 = time.perf_counter()
+        backward(loss_mean)
+        t3 = time.perf_counter()
     except MemoryError:
         print(f"MemoryError in {stage}: peak RSS {peak_rss_mb():.0f} MB")
         return 1
     print(f"loss {loss_sum.data.item():.12e}  forward {t1 - t0:.2f} s  "
-          f"backward {t2 - t1:.2f} s  peak RSS {peak_rss_mb():.0f} MB")
+          f"backward {t3 - t2:.2f} s  peak RSS {peak_rss_mb():.0f} MB")
     return 0
 
 

@@ -20,16 +20,26 @@ A graph therefore supports one ``backward``; leaf gradients stay until
 All data is stored as contiguous float64 numpy arrays. numpy supplies the
 array arithmetic; the differentiation rules live here.
 
-``conv2d`` computes cross-correlation (no kernel flip) with zero padding,
-the usual deep-learning convention. It runs as a few shifted GEMMs on a
-padded channels-last copy of the input and builds no im2col matrix; that
-padded copy is all its backward closure keeps, so a conv node holds about
-the bytes of its input. ``prelu`` likewise keeps only its input and slopes
-and rebuilds its gain in the backward.
+Each op keeps only what its backward reads. ``conv2d`` computes
+cross-correlation (no kernel flip) with zero padding, the usual
+deep-learning convention. It runs as a few shifted GEMMs on a padded
+channels-last copy of the input and builds no im2col matrix; its backward
+closure keeps no array at all and rebuilds that padded copy from the input,
+which the graph holds anyway as the node's parent. ``prelu`` likewise
+keeps only its input and slopes and rebuilds its gain in the backward.
+Products skip the gradient of an operand that does not require one (a
+dropout mask, say).
+
+A gradient takes its first contribution instead of adding it to zeros.
+An array the op allocated for that contribution alone becomes the
+gradient as it is; ``out.grad``, views of it and broadcasts are copied, so
+no two gradients share a buffer. ``graph_nbytes`` counts what a graph
+holds for its backward.
 """
 
 from __future__ import annotations
 
+import types
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterable, Iterator, Sequence
@@ -38,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["Tensor", "backward", "no_grad", "matmul", "prelu", "conv2d", "maxpool1d",
-           "concat"]
+           "concat", "graph_nbytes"]
 
 _grad_enabled: ContextVar[bool] = ContextVar("qspeech_grad_enabled", default=True)
 
@@ -96,11 +106,17 @@ class Tensor:
             out._parents = parents
         return out
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add a gradient contribution. ``owned`` says the op allocated
+        ``g`` for this call alone: a first contribution is then taken as it
+        is (when it is a C-contiguous array), any other first one is copied,
+        so no two gradients share a buffer."""
         if self.requires_grad:
             if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad += g
+                take = owned and isinstance(g, np.ndarray) and g.flags.c_contiguous
+                self.grad = g if take else np.array(g, dtype=np.float64, order="C")
+            else:
+                self.grad += g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -131,7 +147,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = Tensor._result(-self.data, (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accum(-out.grad)
+            out._backward = lambda: self._accum(-out.grad, owned=True)
         return out
 
     def __sub__(self, other) -> "Tensor":
@@ -145,8 +161,12 @@ class Tensor:
         out = Tensor._result(self.data * other.data, (self, other))
         if out.requires_grad:
             def bw():
-                self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
-                other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
+                if self.requires_grad:
+                    self._accum(_unbroadcast(out.grad * other.data, self.data.shape),
+                                owned=True)
+                if other.requires_grad:
+                    other._accum(_unbroadcast(out.grad * self.data, other.data.shape),
+                                 owned=True)
             out._backward = bw
         return out
 
@@ -166,7 +186,7 @@ class Tensor:
                 g = out.grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
+                self._accum(np.broadcast_to(g, self.data.shape))
             out._backward = bw
         return out
 
@@ -209,8 +229,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._result(a.data @ b.data, (a, b))
     if out.requires_grad:
         def bw():
-            a._accum(out.grad @ b.data.T)
-            b._accum(a.data.T @ out.grad)
+            if a.requires_grad:
+                a._accum(out.grad @ b.data.T, owned=True)
+            if b.requires_grad:
+                b._accum(a.data.T @ out.grad, owned=True)
         out._backward = bw
     return out
 
@@ -232,10 +254,10 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     if out.requires_grad:
         # The closure keeps x and the slopes only; the gain is rebuilt.
         def bw():
-            x._accum(out.grad * gain())
+            x._accum(out.grad * gain(), owned=True)
             if slopes.requires_grad:
                 g = _unbroadcast(out.grad * np.minimum(x.data, 0.0), a_shape)
-                slopes._accum(g.reshape(slopes.data.shape))
+                slopes._accum(g.reshape(slopes.data.shape), owned=True)
         out._backward = bw
     return out
 
@@ -259,7 +281,7 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     (c_out, c_in, kh, kw). Output spatial size per axis is
     ``(extent + 2*pad - k) // stride + 1``.
 
-    Shifted GEMMs, with no im2col matrix. The input is padded once into a
+    Shifted GEMMs, with no im2col matrix. The input is padded into a
     channels-last, frequency-major copy ``xp`` (H', B, W', C); seen as flat
     rows of C channels, tap (u, v) of output row ``r`` is row
     ``r + u*B*W' + v``. A transient strip (``_strip``) puts the kw time
@@ -267,9 +289,9 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     tap adds into the output rows. Being frequency-major, the GEMMs skip
     the padding rows of the frequency axis; rows whose window wraps past
     the end of a time row are computed and discarded, as are the rows
-    between strides. The backward closure keeps only ``xp``: the weight
-    gradient rebuilds the strip, and the input gradient adds one GEMM per
-    frequency tap into shifted rows.
+    between strides. The backward closure keeps no array: the weight
+    gradient pads ``x`` again and rebuilds the strip, and the input
+    gradient adds one GEMM per frequency tap into shifted rows.
     """
     sh, sw = stride
     ph, pw = padding
@@ -288,17 +310,20 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     oh = (hp - kh) // sh + 1
     ow = (wp - kw) // sw + 1
     valid = (slice(0, sh * (oh - 1) + 1, sh), slice(None), slice(0, sw * (ow - 1) + 1, sw))
-    xp = np.zeros((hp, bsz, wp, cin))
-    xp[ph:ph + h, :, pw:pw + wd] = x.data.transpose(2, 0, 3, 1)
     fs = bsz * wp                                  # flat rows per frequency row
     n = hp * fs
     m = max(n - (kh - 1) * fs - (kw - 1), 0)      # rows whose taps all lie in xp
     rows = m + (kh - 1) * fs
 
+    def padded():   # xp, rebuilt from x.data rather than kept for the backward
+        xp = np.zeros((hp, bsz, wp, cin))
+        xp[ph:ph + h, :, pw:pw + wd] = x.data.transpose(2, 0, 3, 1)
+        return xp
+
     def kernel_mats():   # one (kw*cin, cout) matrix per frequency tap, rows in strip order
         return w.data.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
 
-    strip = _strip(xp, rows, kw)
+    strip = _strip(padded(), rows, kw)
     wk = kernel_mats()
     grid = np.empty((n, cout))
     np.matmul(strip[:m], wk[0], out=grid[:m])
@@ -312,7 +337,7 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
             g.reshape(hp, bsz, wp, cout)[valid] = out.grad.transpose(2, 0, 3, 1)
             g = g[:m]
             if w.requires_grad:
-                strip = _strip(xp, rows, kw)
+                strip = _strip(padded(), rows, kw)
                 gw = np.stack([strip[u * fs:u * fs + m].T @ g for u in range(kh)])
                 del strip
                 w._accum(gw.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
@@ -353,9 +378,9 @@ def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
             g = np.moveaxis(out.grad, axis, -1)
             buf = np.zeros(lead + (np_out, width))
             np.put_along_axis(buf, idx, np.expand_dims(g, -1), axis=-1)
-            gm = np.zeros(moved.shape)
-            gm[..., :np_out * width] = buf.reshape(lead + (np_out * width,))
-            x._accum(np.moveaxis(gm, -1, axis))
+            gx = np.zeros(x.data.shape)
+            np.moveaxis(gx, axis, -1)[..., :np_out * width] = buf.reshape(lead + (np_out * width,))
+            x._accum(gx, owned=True)
         out._backward = bw
     return out
 
@@ -414,6 +439,56 @@ def backward(loss: Tensor) -> None:
             node._backward = None
             node._parents = ()
             node.grad = None
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``a`` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _held_arrays(obj, visited: set[int]) -> Iterator[np.ndarray]:
+    """The arrays a closure value holds, also through the functions, lists
+    and tuples it holds. Tensors are not entered: they are graph nodes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item, visited)
+    elif isinstance(obj, types.FunctionType) and id(obj) not in visited:
+        visited.add(id(obj))
+        for cell in obj.__closure__ or ():
+            yield from _held_arrays(cell.cell_contents, visited)
+
+
+def graph_nbytes(root: Tensor, stop: Iterable[Tensor] = ()) -> int:
+    """Bytes the graph under ``root`` holds for its backward.
+
+    Walks ``root`` and its ancestors through their parents, not entering
+    the ``stop`` tensors, and sums the data of every node reached and the
+    arrays its backward closure holds. Each underlying buffer counts once,
+    so views add nothing, and the buffers of the ``stop`` tensors' data
+    count not at all (pass the inputs and parameters to count only what
+    the graph adds).
+    """
+    stop = list(stop)
+    seen = {id(_buffer(t.data)) for t in stop}
+    visited = {id(t) for t in stop}
+    total = 0
+    stack = [root] if id(root) not in visited else []
+    while stack:
+        node = stack.pop()
+        arrays = [node.data, *_held_arrays(node._backward, set())]
+        for buf in map(_buffer, arrays):
+            if id(buf) not in seen:
+                seen.add(id(buf))
+                total += buf.nbytes
+        for p in node._parents:
+            if id(p) not in visited:
+                visited.add(id(p))
+                stack.append(p)
+    return total
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -5,6 +5,11 @@ length-prefixed JSON header (epoch, config text and hash, symbols, rng
 state, best metric and epoch, array manifest), then the raw little-endian
 float64 buffers in manifest order. The JSON is dumped with sorted keys and
 fixed separators, so save -> load -> save is byte-identical.
+
+Every save writes a new file and renames it over its target, so a target
+always gets a new inode. That makes ``link_checkpoint`` safe: a checkpoint
+published under a second name by a hard link stays as it is when either
+name is saved again.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["save_checkpoint", "load_checkpoint"]
+__all__ = ["save_checkpoint", "link_checkpoint", "load_checkpoint"]
 
 MAGIC = b"QCKPT\n"
 VERSION = 1
@@ -73,6 +78,22 @@ def save_checkpoint(path: str | Path, *, params: dict[str, np.ndarray],
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def link_checkpoint(src: str | Path, dst: str | Path) -> bool:
+    """Publish the checkpoint ``src`` under ``dst`` as a hard link, made
+    under a temporary name and renamed over ``dst``. Returns False, with
+    ``dst`` left as it was, when the file system refuses; the caller then
+    saves ``dst`` in full."""
+    tmp = Path(f"{dst}.tmp")
+    try:
+        tmp.unlink(missing_ok=True)
+        os.link(src, tmp)
+        os.replace(tmp, dst)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        return False
+    return True
 
 
 def load_checkpoint(path: str | Path) -> dict:

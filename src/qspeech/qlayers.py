@@ -21,8 +21,9 @@ into 16 real convolutions (matrix products), and ``block_weight_matrix``
 is a numpy oracle of the block weight that no layer calls.
 
 Activations, pooling and dropout are "split": one real operation on the
-stacked tensor, with PReLU slopes and dropout masks repeated over the four
-blocks, so the four components of a unit are kept or dropped together.
+stacked tensor, with PReLU slopes repeated over the four blocks and one
+plane-sized dropout mask broadcast over them, so the four components of a
+unit are kept or dropped together.
 
 Weights come from a polar initializer: per weight, a purely imaginary
 quaternion with components uniform in [0,1) is normalized to a unit axis
@@ -159,14 +160,23 @@ def quaternion_dropout(q: QTensor, rate: float, rng: np.random.Generator | None,
                        training: bool) -> QTensor:
     """Inverted dropout of whole quaternion units.
 
-    One draw per unit (over the plane shape), repeated over the four
+    One draw per unit (over the plane shape), broadcast over the four
     component blocks, so a unit's components are kept or dropped together.
+    It is one node that multiplies the (B, 4, C, ...) view of the stacked
+    input by the plane-sized scale, which is all its backward keeps.
     Identity when not training or when rate is 0.
     """
     scale = _dropout_scale(q.shape, rate, rng, training)
     if scale is None:
         return q
-    return QTensor.of(q.stacked() * Tensor(np.concatenate([scale] * 4, axis=1)))
+    x = q.stacked()
+    blocks = (scale.shape[0], 4) + scale.shape[1:]   # the (B, 4, C, ...) view of x
+    scale = scale[:, None]
+    out = Tensor._result((x.data.reshape(blocks) * scale).reshape(x.shape), (x,))
+    if out.requires_grad:
+        out._backward = lambda: x._accum(
+            (out.grad.reshape(blocks) * scale).reshape(x.shape), owned=True)
+    return QTensor.of(out)
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,8 @@ def hamilton_block(planes: Sequence[Tensor], transpose: bool = False) -> Tensor:
     planes = tuple(planes)
     # Transpose the planes, not the 4x larger block weight.
     data = [np.ascontiguousarray(t.data.T) if transpose else t.data for t in planes]
-    rows, cols, *rest = data[0].shape
+    plane_shape = data[0].shape   # the backward keeps this, not the planes' copies
+    rows, cols, *rest = plane_shape
     blocks = np.empty((4, rows, 4, cols, *rest))
 
     def block(arr: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -258,15 +269,16 @@ def hamilton_block(planes: Sequence[Tensor], transpose: bool = False) -> Tensor:
         for b, (p, sign) in enumerate(row):
             np.multiply(data[p], sign, out=block(blocks, a, b))
     out = Tensor._result(blocks.reshape(4 * rows, 4 * cols, *rest), planes)
+    blocks_shape = blocks.shape
     if out.requires_grad:
         def bw():
-            g = out.grad.reshape(blocks.shape)
-            folded = [np.zeros(data[0].shape) for _ in planes]
+            g = out.grad.reshape(blocks_shape)
+            folded = [np.zeros(plane_shape) for _ in planes]
             for a, row in enumerate(_HAMILTON_BLOCKS):
                 for b, (p, sign) in enumerate(row):
                     folded[p] += sign * block(g, a, b)
             for t, gp in zip(planes, folded):
-                t._accum(gp.T if transpose else gp)
+                t._accum(gp.T if transpose else gp, owned=True)
         out._backward = bw
     return out
 

@@ -93,7 +93,12 @@ class Trainer:
         return {name: p.data for name, p in self.params}
 
     def save(self, path: Path, epoch: int, phase: str, optimizer, best_metric,
-             best_epoch: int = -1) -> None:
+             best_epoch: int = -1, same_as: Path | None = None) -> None:
+        """Write a checkpoint of the run state. ``same_as`` names a checkpoint
+        just written with the same state, which is hard-linked to ``path``
+        instead of serialising it again, unless the file system refuses."""
+        if same_as is not None and ckpt.link_checkpoint(same_as, path):
+            return
         ckpt.save_checkpoint(
             path,
             params=self._param_arrays(),
@@ -187,14 +192,19 @@ class Trainer:
             print(stats.log_line(), file=self.log_stream)
 
             metric = dev_per if cfg.train.early_stop_metric == "per" else dev_loss
-            if metric < result.best_metric:
+            improved = metric < result.best_metric
+            if improved:
                 result.best_metric = metric
                 result.best_epoch = epoch + 1
                 result.best_path = out_dir / "best.ckpt"
                 self.save(result.best_path, epoch + 1, phase, optimizer, metric,
                           best_epoch=epoch + 1)
+            # After an improving epoch last.ckpt gets best.ckpt's bytes.
+            # best.ckpt is written first, so a crash in between leaves
+            # last.ckpt at the previous epoch.
             self.save(result.last_path, epoch + 1, phase, optimizer, result.best_metric,
-                      best_epoch=result.best_epoch)
+                      best_epoch=result.best_epoch,
+                      same_as=result.best_path if improved else None)
         return result
 
 

@@ -6,8 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
-from qspeech.autodiff import (Tensor, backward, concat, conv2d, matmul, maxpool1d,
-                              no_grad, prelu, zero_grads)
+from qspeech.autodiff import (Tensor, backward, concat, conv2d, graph_nbytes, matmul,
+                              maxpool1d, no_grad, prelu, zero_grads)
 from qspeech.gradcheck import check_gradients
 
 
@@ -137,6 +137,16 @@ def test_conv2d_backward_keeps_only_the_padded_input():
     assert sum(a.nbytes for a in _closure_arrays(out._backward)) <= padded_bytes
 
 
+def test_conv2d_backward_keeps_no_array():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 8, 6, 10)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8, 3, 5)), requires_grad=True)
+    out = conv2d(x, w, (1, 1), (1, 2))
+    # the padded input is rebuilt from x, which the graph holds as a parent
+    assert _closure_arrays(out._backward) == []
+    assert graph_nbytes(out, stop=[x, w]) == out.data.nbytes
+
+
 def test_conv2d_geometry_errors():
     with pytest.raises(ValueError):
         conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
@@ -202,6 +212,30 @@ def test_elementwise_backward_rules(op):
     }
     wrt = [a, b, c] if op in ("add", "mul", "sub", "prelu") else [a, b]
     assert check_gradients(fns[op], wrt) < 1e-5
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "matmul"])
+def test_gradients_share_no_memory(op):
+    rng = np.random.default_rng(14)
+    a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    out = {"add": lambda: a + b, "mul": lambda: a * b, "matmul": lambda: matmul(a, b)}[op]()
+    backward(out.sum())
+    # a gradient taken as its first contribution must be a buffer of its own
+    assert not np.shares_memory(a.grad, b.grad)
+    before = b.grad.copy()
+    a.grad += 1.0
+    assert np.array_equal(b.grad, before)
+
+
+def test_graph_nbytes_counts_each_buffer_once():
+    x = Tensor(np.ones((4, 6)), requires_grad=True)
+    y = x * 2.0
+    z = y.reshape((6, 4)) + y.reshape((6, 4))
+    # y's data, the 0-d constant 2.0 and z's data; the reshapes are views of y
+    assert graph_nbytes(z, stop=[x]) == 2 * x.data.nbytes + 8
+    assert graph_nbytes(z) == 3 * x.data.nbytes + 8
+    assert graph_nbytes(x, stop=[x]) == 0
 
 
 def test_prelu_hand_values():

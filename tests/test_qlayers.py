@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from qspeech import qlayers
-from qspeech.autodiff import Tensor, backward, conv2d
+from qspeech.autodiff import Tensor, backward, conv2d, graph_nbytes
 from qspeech.gradcheck import check_gradients
 from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor,
-                             block_weight_matrix, compose_polar, quaternion_dropout,
-                             quaternion_init, split_maxpool_freq, unit_dropout)
+                             block_weight_matrix, compose_polar, hamilton_block,
+                             quaternion_dropout, quaternion_init, split_maxpool_freq,
+                             unit_dropout)
 from qspeech.selftest import hamilton_conv2d, hamilton_dense
 
 
@@ -267,6 +268,25 @@ class TestOneGemmPerLayer:
         out = quaternion_dropout(act(conv(q)), 0.3, rng, training=True)
         assert new_graph_nodes([out.stacked()], [q.stacked()]) <= self.MAX_BLOCK_NODES
 
+    def test_conv_prelu_dropout_block_bytes(self):
+        rng = np.random.default_rng(48)
+        conv, act = QConv2d(8, 8, (3, 5), rng), QPReLU(8)
+        q = stacked_input(rng, (2, 8, 13, 20))
+        out = quaternion_dropout(act(conv(q)), 0.3, rng, training=True).stacked()
+        params = [t for _, t in conv.parameters("conv") + act.parameters("act")]
+        held = graph_nbytes(out, stop=[q.stacked()] + params)
+        activation = out.data.nbytes
+        block_weight = 16 * conv.w.r.data.nbytes
+        vectors = 2 * (4 * 8 + 5) * 8   # concatenated bias and slopes, split offsets
+        # conv, bias add, PReLU and dropout outputs, plus a plane-sized mask
+        assert held <= 4.25 * activation + block_weight + vectors
+
+    def test_dense_block_weight_keeps_no_plane_copies(self):
+        rng = np.random.default_rng(49)
+        layer = QDense(6, 5, rng)
+        out = hamilton_block(layer.w.components, transpose=True)
+        assert graph_nbytes(out, stop=layer.w.components) == out.data.nbytes
+
     def test_dense_makes_one_matmul_call(self, monkeypatch):
         calls = count_calls(monkeypatch, "matmul")
         rng = np.random.default_rng(45)
@@ -366,6 +386,21 @@ class TestDropout:
         out = quaternion_dropout(q, 0.3, rng, training=True)
         keep = float((out.r.data != 0.0).mean())
         assert abs(keep - 0.700) < 0.005
+
+    def test_keeps_a_plane_sized_mask(self):
+        rng = np.random.default_rng(50)
+        x = stacked_input(rng, (2, 3, 6, 7)).stacked()
+        out = quaternion_dropout(QTensor.of(x), 0.3, rng, training=True).stacked()
+        assert graph_nbytes(out, stop=[x]) - out.data.nbytes <= out.data.nbytes / 4
+
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 7), (5, 3)])
+    def test_gradient(self, shape):
+        rng = np.random.default_rng(51)
+        x = stacked_input(rng, shape).stacked()
+        c = Tensor(rng.normal(size=x.shape))
+        fn = lambda: (quaternion_dropout(QTensor.of(x), 0.4, np.random.default_rng(3),
+                                         training=True).stacked() * c).sum()
+        assert check_gradients(fn, [x]) < 1e-5
 
     def test_bad_rate_rejected(self):
         q = rand_qtensor(np.random.default_rng(24), (2, 2))

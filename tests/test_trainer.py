@@ -231,6 +231,50 @@ def test_resume_keeps_best_checkpoint(tmp_path):
     assert (run_dir / "last.ckpt").read_bytes() == (tmp_path / "full" / "last.ckpt").read_bytes()
 
 
+class _EpochSnapshots(Trainer):
+    """Keeps the bytes of every checkpoint in the run directory as each
+    epoch ended."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.snapshots = {}
+
+    def save(self, path, epoch, *args, **kwargs):
+        super().save(path, epoch, *args, **kwargs)
+        if path.name == "last.ckpt":
+            self.snapshots[epoch] = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+
+
+@pytest.mark.parametrize("links", [True, False])
+def test_improving_epoch_serialises_one_checkpoint(tmp_path, monkeypatch, links):
+    import qspeech.checkpoint as ckpt_module
+    import qspeech.trainer as trainer_module
+    dev_pers = iter([0.5, 0.75])   # epoch 1 improves, epoch 2 does not
+    monkeypatch.setattr(trainer_module, "evaluate_per", lambda *args: next(dev_pers))
+    written = []
+    save = ckpt_module.save_checkpoint
+    monkeypatch.setattr(ckpt_module, "save_checkpoint",
+                        lambda path, **kw: (written.append(path.name), save(path, **kw)))
+    if not links:
+        def refuse(*args):
+            raise OSError("hard links not supported")
+        monkeypatch.setattr(ckpt_module.os, "link", refuse)
+    utts = tiny_data(seed=3)
+    run = _EpochSnapshots(tiny_cfg(epochs=2, fine_tune_epochs=0), SymbolTable(SYMBOLS),
+                          log_stream=io.StringIO())
+    result = run.train(utts[:6], utts[6:], tmp_path)
+
+    # a hard link when the file system allows one, a second save when not
+    assert written == ["best.ckpt", "last.ckpt"] + ([] if links else ["last.ckpt"])
+    first = run.snapshots[1]
+    assert first.keys() == {"best.ckpt", "last.ckpt"}
+    assert first["best.ckpt"] == first["last.ckpt"]
+    assert load_checkpoint(result.best_path)["epoch"] == 1
+    assert result.best_path.read_bytes() == first["best.ckpt"]
+    assert load_checkpoint(result.last_path)["epoch"] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
+
+
 def _spy_logits(model, seen):
     forward = model.forward
 
