@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["Tensor", "backward", "no_grad", "matmul", "prelu", "conv2d", "maxpool1d",
+__all__ = ["Tensor", "backward", "no_grad", "linear", "prelu", "conv2d", "maxpool1d",
            "concat", "graph_nbytes"]
 
 _grad_enabled: ContextVar[bool] = ContextVar("qspeech_grad_enabled", default=True)
@@ -83,16 +83,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A float64 array node in a dynamically recorded computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr) if arr.ndim else arr.copy()
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple["Tensor", ...] = ()
         self._backward = None
 
@@ -127,8 +126,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- elementwise ------------------------------------------------------
 
@@ -220,19 +218,19 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with the standard backward rules."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    out = Tensor._result(a.data @ b.data, (a, b))
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ w.T`` for rows ``x`` (n, in) and a weight ``w`` (out, in), which
+    is read as stored and never copied."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise ValueError(f"linear needs x (n, in) and w (out, in), got {x.data.shape} "
+                         f"and {w.data.shape}")
+    out = Tensor._result(x.data @ w.data.T, (x, w))
     if out.requires_grad:
         def bw():
-            if a.requires_grad:
-                a._accum(out.grad @ b.data.T, owned=True)
-            if b.requires_grad:
-                b._accum(a.data.T @ out.grad, owned=True)
+            if x.requires_grad:
+                x._accum(out.grad @ w.data, owned=True)
+            if w.requires_grad:
+                w._accum(out.grad.T @ x.data, owned=True)
         out._backward = bw
     return out
 
@@ -358,7 +356,8 @@ def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
 
     A ragged tail shorter than ``width`` is truncated. Gradient goes to
     the first maximal element of each window, so ties break
-    deterministically.
+    deterministically. The backward keeps each window's argmax in the
+    smallest unsigned type that holds ``width - 1`` (one byte below 256).
     """
     if width < 1:
         raise ValueError("pool width must be >= 1")
@@ -373,7 +372,7 @@ def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
     out_m = xr.max(axis=-1)
     out = Tensor._result(np.moveaxis(out_m, -1, axis), (x,))
     if out.requires_grad:
-        idx = np.expand_dims(xr.argmax(axis=-1), -1)
+        idx = np.expand_dims(xr.argmax(axis=-1).astype(np.min_scalar_type(width - 1)), -1)
         def bw():
             g = np.moveaxis(out.grad, axis, -1)
             buf = np.zeros(lead + (np_out, width))

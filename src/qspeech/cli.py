@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_hash, load_config, parse_config
+from .config import ModelConfig, RunConfig, config_hash, load_config, parse_config
 from .ctc import SymbolTable
 from .data import Utterance, load_dataset, derive_symbol_table, read_manifest
 from .errors import DataError, NumericalError
@@ -106,6 +106,16 @@ def _split_dev(utts: list[Utterance], every: int = 10) -> tuple[list, list]:
     return train, dev
 
 
+def _check_inputs(utts: list[Utterance], cfg: ModelConfig) -> None:
+    """Raise ``DataError`` for the first utterance the model cannot take."""
+    for u in utts:
+        for n, what, key in ((u.features.shape[0] // 4, "quaternion channel(s)", "in_channels"),
+                             (u.features.shape[1], "frequency bands", "in_freq")):
+            if n != getattr(cfg, key):
+                raise DataError(f"utterance {u.utt_id!r} has {n} {what}, "
+                                f"but model.{key} = {getattr(cfg, key)}")
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
     overrides = {}
@@ -123,6 +133,7 @@ def cmd_train(args) -> int:
         dev_set = load_dataset(args.dev_manifest, cfg.features)
     else:
         train_set, dev_set = _split_dev(train_set)
+    _check_inputs(train_set + dev_set, cfg.model)
 
     declared = cfg.model.symbol_list()
     table = SymbolTable(tuple(declared)) if declared else derive_symbol_table(train_set + dev_set)
@@ -150,6 +161,7 @@ def _model_from_checkpoint(path: str):
 def cmd_eval(args) -> int:
     model, table, cfg = _model_from_checkpoint(args.checkpoint)
     utts = load_dataset(args.manifest, cfg.features)
+    _check_inputs(utts, cfg.model)
     phone_map = _resolve_phone_map(args.phone_map)
     value = evaluate_per(model, utts, table, phone_map=phone_map)
     print(f"per={value:.3f} utterances={len(utts)}")
@@ -159,6 +171,7 @@ def cmd_eval(args) -> int:
 def cmd_decode(args) -> int:
     model, table, cfg = _model_from_checkpoint(args.checkpoint)
     utts = load_dataset(args.manifest, cfg.features)
+    _check_inputs(utts, cfg.model)
     hyps = decode_dataset(model, utts, table)
     lines = [f"{u.utt_id}\t{' '.join(hyps[u.utt_id])}" for u in utts]
     text = "\n".join(lines) + "\n"

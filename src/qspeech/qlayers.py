@@ -14,8 +14,8 @@ dense layers apply the Hamilton product between a quaternion weight
 The layers compute it as one real operation on the stacked input:
 ``hamilton_block`` builds the real weight with the 4x4 block structure
 [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]] from the four weight
-planes, and one ``conv2d`` (``matmul``) applies it, giving the stacked
-output. Two independent routes check this:
+planes, and one ``conv2d`` (``linear``) applies it as stored, giving the
+stacked output. Two independent routes check this:
 ``selftest.hamilton_conv2d``/``hamilton_dense`` expand the product above
 into 16 real convolutions (matrix products), and ``block_weight_matrix``
 is a numpy oracle of the block weight that no layer calls.
@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat, conv2d, matmul, maxpool1d, no_grad, prelu
+from .autodiff import Tensor, concat, conv2d, linear, maxpool1d, no_grad, prelu
 
 __all__ = [
     "QTensor",
@@ -243,52 +243,39 @@ _HAMILTON_BLOCKS = (
 )
 
 
-def hamilton_block(planes: Sequence[Tensor], transpose: bool = False) -> Tensor:
+def hamilton_block(planes: Sequence[Tensor]) -> Tensor:
     """Real block weight of a quaternion weight, as one autodiff node.
 
     Planes (out_q, in_q, ...) give a (4*out_q, 4*in_q, ...) weight whose
     block (a, b) is a signed copy of one plane, following
-    [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]]. With ``transpose``
-    (2-D planes) it is built directly as its (4*in_q, 4*out_q) transpose,
-    the right operand of a dense layer. The backward pass folds each
-    block's gradient back into its plane with the same sign.
+    [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]]. The backward pass
+    folds each block's gradient back into its plane with the same sign.
     """
     planes = tuple(planes)
-    # Transpose the planes, not the 4x larger block weight.
-    data = [np.ascontiguousarray(t.data.T) if transpose else t.data for t in planes]
-    plane_shape = data[0].shape   # the backward keeps this, not the planes' copies
+    plane_shape = planes[0].data.shape
     rows, cols, *rest = plane_shape
     blocks = np.empty((4, rows, 4, cols, *rest))
-
-    def block(arr: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Block (a, b) of the weight, or of its transpose, in the
-        orientation of ``data``."""
-        return arr[b, :, a] if transpose else arr[a, :, b]
-
     for a, row in enumerate(_HAMILTON_BLOCKS):
         for b, (p, sign) in enumerate(row):
-            np.multiply(data[p], sign, out=block(blocks, a, b))
+            np.multiply(planes[p].data, sign, out=blocks[a, :, b])
     out = Tensor._result(blocks.reshape(4 * rows, 4 * cols, *rest), planes)
-    blocks_shape = blocks.shape
     if out.requires_grad:
         def bw():
-            g = out.grad.reshape(blocks_shape)
+            g = out.grad.reshape(4, rows, 4, cols, *rest)
             folded = [np.zeros(plane_shape) for _ in planes]
             for a, row in enumerate(_HAMILTON_BLOCKS):
                 for b, (p, sign) in enumerate(row):
-                    folded[p] += sign * block(g, a, b)
+                    folded[p] += sign * g[a, :, b]
             for t, gp in zip(planes, folded):
-                t._accum(gp.T if transpose else gp, owned=True)
+                t._accum(gp, owned=True)
         out._backward = bw
     return out
 
 
 def _hamilton_layer(q: QTensor, w: QTensor, bias: QTensor | None,
-                    op: Callable[[Tensor, Tensor], Tensor],
-                    transpose: bool = False) -> QTensor:
-    """Apply ``op`` to the stacked input and the block weight (transposed
-    if asked) and add the concatenated bias."""
-    out = op(q.stacked(), hamilton_block(w.components, transpose))
+                    op: Callable[[Tensor, Tensor], Tensor]) -> QTensor:
+    """Apply ``op`` to the stacked input and the block weight; add the bias."""
+    out = op(q.stacked(), hamilton_block(w.components))
     if bias is not None:
         out = out + concat(bias.components, axis=0)
     return QTensor.of(out)
@@ -355,7 +342,7 @@ class QDense(_QLayer):
     def __call__(self, q: QTensor) -> QTensor:
         if q.shape[-1] != self.in_q:
             raise ValueError(f"expected {self.in_q} quaternion inputs, got {q.shape[-1]}")
-        return _hamilton_layer(q, self.w, self.bias, matmul, transpose=True)
+        return _hamilton_layer(q, self.w, self.bias, linear)
 
 
 class _PReLU:
@@ -414,7 +401,7 @@ class RealDense(_RealLayer):
         self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, t: Tensor) -> Tensor:
-        out = matmul(t, self.w.transpose((1, 0)))
+        out = linear(t, self.w)
         return out + self.b if self.b is not None else out
 
 

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .autodiff import Tensor, backward, conv2d, matmul
+from .autodiff import Tensor, backward, conv2d, linear
 from .ctc import collapse, ctc_loss
 from .features import FeatureConfig, extract
 from .gradcheck import check_gradients
@@ -67,7 +67,7 @@ def hamilton_conv2d(q: QTensor, w: QTensor, bias: QTensor | None,
 
 def hamilton_dense(q: QTensor, w: QTensor, bias: QTensor | None) -> QTensor:
     """Quaternion dense layer as 16 real matrix products plus bias."""
-    return _hamilton(q, w, bias, lambda t, k: matmul(t, k.transpose((1, 0))))
+    return _hamilton(q, w, bias, linear)
 
 
 def _check_layer_equivalence(rng: np.random.Generator, n: int = 20) -> tuple[bool, str]:

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from qspeech.autodiff import (Tensor, backward, concat, conv2d, graph_nbytes, matmul,
+from qspeech.autodiff import (Tensor, backward, concat, conv2d, graph_nbytes, linear,
                               maxpool1d, no_grad, prelu, zero_grads)
 from qspeech.gradcheck import check_gradients
 
@@ -34,27 +34,39 @@ def naive_conv2d(x, w, stride, padding):
     return out
 
 
-def test_matmul_identity():
+def test_linear_identity():
     a = np.arange(6.0).reshape(2, 3)
-    out = matmul(Tensor(np.eye(2)), Tensor(a))
+    out = linear(Tensor(a), Tensor(np.eye(3)))
     assert np.array_equal(out.data, a)
 
 
-def test_matmul_hand_value():
-    out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+def test_linear_hand_value():
+    # rows times the transpose of a (1, 2) weight
+    out = linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0, 1.0]]))
     assert np.array_equal(out.data, [[3.0], [7.0]])
 
 
-def test_matmul_shape_mismatch():
+def test_linear_shape_mismatch():
     with pytest.raises(ValueError):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    with pytest.raises(ValueError):
+        linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))))
 
 
-def test_matmul_gradient():
+def test_linear_gradient():
     rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    assert check_gradients(lambda: matmul(a, b).sum(), [a, b]) < 1e-5
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    assert check_gradients(lambda: (linear(x, w) * linear(x, w)).sum(), [x, w]) < 1e-5
+
+
+def test_linear_backward_keeps_only_its_operands():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = linear(x, w)
+    # no transposed copy of the weight, in the graph or in the closure
+    assert graph_nbytes(out, stop=[x, w]) == out.data.nbytes
 
 
 def test_conv2d_one_by_one_identity():
@@ -214,12 +226,12 @@ def test_elementwise_backward_rules(op):
     assert check_gradients(fns[op], wrt) < 1e-5
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "matmul"])
+@pytest.mark.parametrize("op", ["add", "mul", "linear"])
 def test_gradients_share_no_memory(op):
     rng = np.random.default_rng(14)
     a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    out = {"add": lambda: a + b, "mul": lambda: a * b, "matmul": lambda: matmul(a, b)}[op]()
+    out = {"add": lambda: a + b, "mul": lambda: a * b, "linear": lambda: linear(a, b)}[op]()
     backward(out.sum())
     # a gradient taken as its first contribution must be a buffer of its own
     assert not np.shares_memory(a.grad, b.grad)
@@ -236,6 +248,13 @@ def test_graph_nbytes_counts_each_buffer_once():
     assert graph_nbytes(z, stop=[x]) == 2 * x.data.nbytes + 8
     assert graph_nbytes(z) == 3 * x.data.nbytes + 8
     assert graph_nbytes(x, stop=[x]) == 0
+
+
+def test_maxpool_keeps_a_small_argmax():
+    x = Tensor(np.random.default_rng(15).normal(size=(2, 8, 12, 30)), requires_grad=True)
+    out = maxpool1d(x, 3, axis=2)
+    # the output plus one byte per output element for the window argmax
+    assert graph_nbytes(out, stop=[x]) <= 1.125 * out.data.nbytes
 
 
 def test_prelu_hand_values():
@@ -269,6 +288,12 @@ def test_forward_deterministic():
     assert np.array_equal(r1, r2)
 
 
+def test_tensor_takes_no_name():
+    with pytest.raises(TypeError):
+        Tensor(np.ones(2), name="w")
+    assert repr(Tensor(np.ones((2, 3)), True)) == "Tensor(shape=(2, 3), requires_grad=True)"
+
+
 def test_constant_subgraphs_not_tracked():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
@@ -291,7 +316,7 @@ def test_no_grad_records_no_graph():
     w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     with no_grad():
         out = _graph_ops(x, w)
-        mid = matmul(w.reshape((3, 18)), Tensor(np.ones((18, 1)))) - x.sum()
+        mid = linear(w.reshape((3, 18)), Tensor(np.ones((1, 18)))) - x.sum()
     for t in (out, mid):
         assert not t.requires_grad
         assert t._parents == () and t._backward is None

@@ -229,3 +229,47 @@ def test_extract_out_naming_a_file_exits_two(corpus, tmp_path, capsys):
     taken.write_text("", encoding="utf-8")
     assert main(["extract", "--manifest", str(corpus), "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+def _config_with(tiny_config, tmp_path, extra):
+    p = tmp_path / "changed.cfg"
+    p.write_text(tiny_config.read_text(encoding="utf-8") + extra, encoding="utf-8")
+    return p
+
+
+@pytest.mark.parametrize("extra,names", [("model.in_freq = 38\n", "41 frequency bands"),
+                                         ("model.in_channels = 2\n", "model.in_channels = 2")],
+                         ids=["in_freq", "in_channels"])
+def test_train_features_not_fitting_the_model_exit_two(corpus, tiny_config, tmp_path, capsys,
+                                                       extra, names):
+    cfg = _config_with(tiny_config, tmp_path, extra)
+    code = main(["train", "--config", str(cfg), "--manifest", str(corpus),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: utterance 'tone") and names in err
+
+
+@pytest.fixture(scope="module")
+def narrow_checkpoint(corpus, tiny_config, tmp_path_factory):
+    """A checkpoint of a model for 38-band features (37 mels and energy)."""
+    root = tmp_path_factory.mktemp("narrow")
+    cfg = root / "narrow.cfg"
+    cfg.write_text(tiny_config.read_text(encoding="utf-8")
+                   + "features.n_mels = 37\nmodel.in_freq = 38\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--manifest", str(corpus),
+                 "--out", str(root), "--epochs", "1", "--fine-tune-epochs", "0"]) == 0
+    return root / "last.ckpt"
+
+
+@pytest.mark.parametrize("command", ["eval", "decode"])
+def test_features_wider_than_checkpoint_model_exit_two(narrow_checkpoint, corpus, tmp_path,
+                                                       capsys, command):
+    feats = tmp_path / "feats"     # 41 bands, from the default front end
+    assert main(["extract", "--manifest", str(corpus), "--out", str(feats)]) == 0
+    capsys.readouterr()
+    code = main([command, "--checkpoint", str(narrow_checkpoint),
+                 "--manifest", str(feats / "manifest.tsv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: utterance 'tone") and "model.in_freq = 38" in err

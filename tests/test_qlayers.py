@@ -4,8 +4,8 @@ import pytest
 from qspeech import qlayers
 from qspeech.autodiff import Tensor, backward, conv2d, graph_nbytes
 from qspeech.gradcheck import check_gradients
-from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor,
-                             block_weight_matrix, compose_polar, hamilton_block,
+from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor, RealDense,
+                             block_weight_matrix, compose_polar,
                              quaternion_dropout, quaternion_init, split_maxpool_freq,
                              unit_dropout)
 from qspeech.selftest import hamilton_conv2d, hamilton_dense
@@ -281,18 +281,36 @@ class TestOneGemmPerLayer:
         # conv, bias add, PReLU and dropout outputs, plus a plane-sized mask
         assert held <= 4.25 * activation + block_weight + vectors
 
-    def test_dense_block_weight_keeps_no_plane_copies(self):
+    def test_dense_graph_holds_output_block_weight_and_bias(self):
         rng = np.random.default_rng(49)
         layer = QDense(6, 5, rng)
-        out = hamilton_block(layer.w.components, transpose=True)
-        assert graph_nbytes(out, stop=layer.w.components) == out.data.nbytes
+        q = stacked_input(rng, (7, 6))
+        out = layer(q).stacked()
+        held = graph_nbytes(out, stop=[q.stacked(), *layer.w.components,
+                                       *layer.bias.components])
+        block_weight = 16 * layer.w.r.data.nbytes
+        vectors = 4 * 5 * 8 + 5 * 8   # concatenated bias, split offsets
+        # the product's output and the bias sum, no transposed weight or plane copy
+        assert held == 2 * out.data.nbytes + block_weight + vectors
 
-    def test_dense_makes_one_matmul_call(self, monkeypatch):
-        calls = count_calls(monkeypatch, "matmul")
+    def test_dense_makes_one_linear_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, "linear")
         rng = np.random.default_rng(45)
         layer = QDense(3, 2, rng)
         layer(rand_qtensor(rng, (4, 3), requires_grad=True))
         assert len(calls) == 1
+
+    def test_real_dense_makes_no_transpose_node(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        layer = RealDense(6, 4, rng)
+        transposes = []
+        real = Tensor.transpose
+        monkeypatch.setattr(Tensor, "transpose",
+                            lambda self, axes: transposes.append(axes) or real(self, axes))
+        x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        out = layer(x)
+        assert transposes == []
+        assert new_graph_nodes([out], [x, layer.w, layer.b]) == 2   # product, bias add
 
 
 class TestSplitOps:
