@@ -177,15 +177,10 @@ class Tensor:
 
     # -- reductions -------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+    def sum(self) -> "Tensor":
+        out = Tensor._result(self.data.sum(), (self,))
         if out.requires_grad:
-            def bw():
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape))
-            out._backward = bw
+            out._backward = lambda: self._accum(np.broadcast_to(out.grad, self.data.shape))
         return out
 
     # -- shape manipulation -------------------------------------------------

@@ -97,9 +97,9 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _split_dev(utts: list[Utterance], every: int = 10) -> tuple[list, list]:
-    dev = [u for i, u in enumerate(utts) if i % every == 0]
-    train = [u for i, u in enumerate(utts) if i % every != 0]
+def _split_dev(utts: list[Utterance]) -> tuple[list, list]:
+    dev = [u for i, u in enumerate(utts) if i % 10 == 0]
+    train = [u for i, u in enumerate(utts) if i % 10 != 0]
     if not train or not dev:
         raise DataError("dataset too small to split off a development set; "
                         "pass --dev-manifest")
@@ -216,27 +216,18 @@ def build_parser() -> _Parser:
     p = _Parser(prog="qspeech", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, config=False, manifest=False, checkpoint=False, out=False,
-               seed=False):
-        if config:
-            sp.add_argument("--config", metavar="PATH", help="config file")
-        if manifest:
-            sp.add_argument("--manifest", metavar="PATH", required=True)
-        if checkpoint:
-            sp.add_argument("--checkpoint", metavar="PATH")
-        if out:
-            sp.add_argument("--out", metavar="DIR")
-        if seed:
-            sp.add_argument("--seed", type=int, metavar="N")
-
     sp = sub.add_parser("extract", help="compute feature files from a WAV manifest")
-    common(sp, config=True, manifest=True, out=False)
+    sp.add_argument("--config", metavar="PATH", help="config file")
+    sp.add_argument("--manifest", metavar="PATH", required=True)
     sp.add_argument("--out", metavar="DIR", required=True)
     sp.add_argument("--workers", type=int, default=1, metavar="N")
     sp.set_defaults(fn=cmd_extract)
 
     sp = sub.add_parser("train", help="train a model")
-    common(sp, config=True, manifest=True, checkpoint=True, seed=True)
+    sp.add_argument("--config", metavar="PATH", help="config file")
+    sp.add_argument("--manifest", metavar="PATH", required=True)
+    sp.add_argument("--checkpoint", metavar="PATH")
+    sp.add_argument("--seed", type=int, metavar="N")
     sp.add_argument("--out", metavar="DIR", required=True)
     sp.add_argument("--dev-manifest", metavar="PATH")
     sp.add_argument("--epochs", type=int, metavar="N")
@@ -244,25 +235,26 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="score a manifest with a checkpoint")
-    common(sp, manifest=True)
+    sp.add_argument("--manifest", metavar="PATH", required=True)
     sp.add_argument("--checkpoint", metavar="PATH", required=True)
     sp.add_argument("--phone-map", metavar="PATH_OR_NAME",
                     help="phone reduction map file, or 'timit39'")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("decode", help="write greedy transcripts")
-    common(sp, manifest=True, out=True)
+    sp.add_argument("--manifest", metavar="PATH", required=True)
+    sp.add_argument("--out", metavar="DIR")
     sp.add_argument("--checkpoint", metavar="PATH", required=True)
     sp.set_defaults(fn=cmd_decode)
 
     sp = sub.add_parser("inspect", help="print the layer table and parameter counts")
-    common(sp, config=True, seed=False)
+    sp.add_argument("--config", metavar="PATH", help="config file")
     sp.add_argument("--n-symbols", type=int, default=61, metavar="N",
                     help="symbol count when the config does not declare them")
     sp.set_defaults(fn=cmd_inspect)
 
     sp = sub.add_parser("selftest", help="run the built-in oracle checks")
-    common(sp, seed=True)
+    sp.add_argument("--seed", type=int, metavar="N")
     sp.set_defaults(fn=cmd_selftest)
     return p
 

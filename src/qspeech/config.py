@@ -1,15 +1,17 @@
 """Dataclass configs and the flat key-value config file format.
 
-A config file holds ``section.key = value`` lines ('#' comments allowed),
-with sections ``model``, ``train`` and ``features``. Values are typed by
-the dataclass fields. The config hash is the sha256 of the canonical
-serialization and is embedded in checkpoints so mismatched resumes are
-rejected.
+A config file holds ``section.key = value`` lines, with sections
+``model``, ``train`` and ``features``. Values are typed by the dataclass
+fields. A '#' at the start of a line or after whitespace starts a comment;
+elsewhere it is part of the value, as in TIMIT's ``h#`` symbol. The config
+hash is the sha256 of the canonical serialization and is embedded in
+checkpoints so mismatched resumes are rejected.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -66,6 +68,14 @@ class ModelConfig:
         if self.in_freq < self.kernel_freq:
             raise ConfigError(f"model.in_freq: {self.in_freq} smaller than kernel_freq "
                               f"{self.kernel_freq}")
+        symbols = self.symbol_list()
+        for s in symbols:
+            if s.startswith("#"):
+                raise ConfigError(f"model.symbols: {s!r} starts with '#', which would "
+                                  f"read back as a comment")
+        if len(set(symbols)) != len(symbols):
+            dups = sorted({s for s in symbols if symbols.count(s) > 1})
+            raise ConfigError(f"model.symbols: duplicate symbol(s) {' '.join(dups)}")
 
     def symbol_list(self) -> list[str]:
         return self.symbols.split()
@@ -105,6 +115,7 @@ class RunConfig:
         self.train.validate()
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "features": FeatureConfig}
 
 
@@ -131,7 +142,7 @@ def parse_config(text: str) -> RunConfig:
     field_types = {name: {f.name: f.type for f in fields(cls)}
                    for name, cls in _SECTIONS.items()}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", line, count=1).strip()
         if not line:
             continue
         if "=" not in line:

@@ -177,15 +177,6 @@ def _ctc(logits: np.ndarray, lengths: np.ndarray, targets: list[list[int]],
     return -log_p, grad
 
 
-def ctc_loss_node(logits: Tensor, target: Sequence[int], blank: int) -> Tensor:
-    """CTC loss as an autodiff node over a (n_frames, n_classes) tensor."""
-    loss, grad = ctc_loss(logits.data, target, blank)
-    out = Tensor._result(np.float64(loss), (logits,))
-    if out.requires_grad:
-        out._backward = lambda: logits._accum(out.grad * grad)
-    return out
-
-
 def batch_ctc_loss(logits: Tensor, lengths: Sequence[int], targets: Sequence[Sequence[int]],
                    blank: int) -> tuple[Tensor, Tensor]:
     """Summed and mean CTC loss over padded (batch, frames, classes) logits, as one
@@ -204,6 +195,12 @@ def batch_ctc_loss(logits: Tensor, lengths: Sequence[int], targets: Sequence[Seq
     if out.requires_grad:
         out._backward = lambda: logits._accum(out.grad * grad)
     return out, out / n_ex
+
+
+def ctc_loss_node(logits: Tensor, target: Sequence[int], blank: int) -> Tensor:
+    """CTC loss of a (n_frames, n_classes) tensor: ``batch_ctc_loss`` of a batch of one."""
+    n, k = logits.shape
+    return batch_ctc_loss(logits.reshape((1, n, k)), [n], [target], blank)[0]
 
 
 def best_path_decode(logits: np.ndarray, blank: int) -> list[int]:

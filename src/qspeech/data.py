@@ -52,7 +52,7 @@ class Batch:
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str, list[str]]]:
-    entries = []
+    entries, first_line = [], {}
     base = Path(path).parent
     try:
         f = open(path, encoding="utf-8")
@@ -68,6 +68,10 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, list[str]]]:
                 raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, "
                                 f"got {len(parts)}")
             utt_id, file_path, labels = parts
+            if utt_id in first_line:
+                raise DataError(f"{path}:{lineno}: utterance id {utt_id!r} already used "
+                                f"on line {first_line[utt_id]}")
+            first_line[utt_id] = lineno
             labels_list = labels.split()
             if not labels_list:
                 raise DataError(f"{path}:{lineno}: utterance {utt_id!r} has no labels")
@@ -132,8 +136,8 @@ def batch_to_qtensor(features: np.ndarray) -> QTensor:
 
 
 def synth_tone_corpus(out_dir: str | Path, n_utts: int, symbols: tuple[str, ...],
-                      rng: np.random.Generator, sample_rate: int = 16000) -> Path:
-    """Write a small WAV corpus where each symbol is a pure tone.
+                      rng: np.random.Generator) -> Path:
+    """Write a small 16 kHz WAV corpus where each symbol is a pure tone.
 
     Utterances are sequences of 120-200 ms tone segments (one per label)
     with light noise. Returns the path of the written manifest.
@@ -142,6 +146,7 @@ def synth_tone_corpus(out_dir: str | Path, n_utts: int, symbols: tuple[str, ...]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    sample_rate = 16000
     freqs = 350.0 * 2.0 ** np.arange(len(symbols))  # octave spacing
     manifest = out_dir / "manifest.tsv"
     with open(manifest, "w", encoding="utf-8") as mf:

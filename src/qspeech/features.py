@@ -31,7 +31,6 @@ __all__ = [
     "log_mel_energies",
     "delta",
     "pack_quaternions",
-    "unpack_quaternions",
     "extract",
     "save_features",
     "load_features",
@@ -179,10 +178,6 @@ def pack_quaternions(static: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> Feat
         raise ValueError(f"stream shapes differ: {static.shape}, {d1.shape}, {d2.shape}")
     planes = np.stack([np.zeros_like(static), static, d1, d2]).astype(np.float32)
     return FeatureSequence(planes)
-
-
-def unpack_quaternions(fs: FeatureSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return fs.data[1], fs.data[2], fs.data[3]
 
 
 def extract(waveform: np.ndarray, cfg: FeatureConfig) -> FeatureSequence:

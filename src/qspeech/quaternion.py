@@ -21,7 +21,6 @@ __all__ = [
     "hamilton_product",
     "conjugate",
     "norm",
-    "unit",
     "to_real_matrix",
     "from_matrix_column",
 ]
@@ -34,13 +33,6 @@ class Quaternion:
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return hamilton_product(self, other)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.r + other.r, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.r, -self.x, -self.y, -self.z)
@@ -72,19 +64,6 @@ def norm(q: Quaternion) -> float:
     precision.
     """
     return math.hypot(q.r, q.x, q.y, q.z)
-
-
-def unit(q: Quaternion) -> Quaternion:
-    """Scale ``q`` to unit norm.
-
-    Raises ``ZeroDivisionError`` for the zero quaternion: normalizing it
-    is undefined and silently returning zero would mask degenerate draws
-    in the weight initializer.
-    """
-    n = norm(q)
-    if n == 0.0:
-        raise ZeroDivisionError("cannot normalize the zero quaternion")
-    return Quaternion(q.r / n, q.x / n, q.y / n, q.z / n)
 
 
 def to_real_matrix(q: Quaternion) -> np.ndarray:

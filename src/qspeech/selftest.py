@@ -60,9 +60,9 @@ def _hamilton(q: QTensor, w: QTensor, bias: QTensor | None, op) -> QTensor:
 
 
 def hamilton_conv2d(q: QTensor, w: QTensor, bias: QTensor | None,
-                    stride: tuple[int, int], padding: tuple[int, int]) -> QTensor:
-    """Quaternion convolution as 16 real convolutions plus bias."""
-    return _hamilton(q, w, bias, lambda t, k: conv2d(t, k, stride, padding))
+                    padding: tuple[int, int]) -> QTensor:
+    """Quaternion convolution (stride 1) as 16 real convolutions plus bias."""
+    return _hamilton(q, w, bias, lambda t, k: conv2d(t, k, (1, 1), padding))
 
 
 def hamilton_dense(q: QTensor, w: QTensor, bias: QTensor | None) -> QTensor:
@@ -83,8 +83,7 @@ def _check_layer_equivalence(rng: np.random.Generator, n: int = 20) -> tuple[boo
         q = QTensor.from_arrays(*rng.normal(size=(4, 2, in_q, 6, 5)), requires_grad=True)
         params = [*layer.w.components, *layer.bias.components, *q.components]
         routes = []
-        for fn in (layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias,
-                                                     (1, 1), layer.padding)):
+        for fn in (layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias, layer.padding)):
             for t in params:
                 t.grad = None
             out = fn(q)
@@ -152,7 +151,7 @@ def _check_features(rng: np.random.Generator) -> tuple[bool, str]:
     return ok, f"width {fs.width}, real plane {'zero' if zero_real else 'NONZERO'}"
 
 
-def run_selftest(seed: int = 0, out=print) -> bool:
+def run_selftest(seed: int = 0) -> bool:
     checks = [
         ("algebra-matrix-oracle", _check_algebra),
         ("conv-block-equivalence", _check_layer_equivalence),
@@ -165,5 +164,5 @@ def run_selftest(seed: int = 0, out=print) -> bool:
     for name, fn in checks:
         ok, detail = fn(np.random.default_rng(seed))
         all_ok &= ok
-        out(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

@@ -274,8 +274,8 @@ def decode_dataset(model: CNNModel, utts: list[Utterance], table: SymbolTable,
 
 
 def evaluate_per(model: CNNModel, utts: list[Utterance], table: SymbolTable,
-                 phone_map=None, batch_size: int = 8) -> float:
-    hyps = decode_dataset(model, utts, table, batch_size)
+                 phone_map=None) -> float:
+    hyps = decode_dataset(model, utts, table)
     pairs = []
     for u in utts:
         hyp, ref = hyps[u.utt_id], list(u.labels)

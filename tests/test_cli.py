@@ -250,6 +250,27 @@ def test_train_features_not_fitting_the_model_exit_two(corpus, tiny_config, tmp_
     assert err.startswith("data error: utterance 'tone") and names in err
 
 
+@pytest.mark.parametrize("command", ["train", "inspect"])
+def test_duplicate_config_symbols_exit_two(corpus, tiny_config, tmp_path, capsys, command):
+    cfg = _config_with(tiny_config, tmp_path, "model.symbols = lo mid lo\n")
+    args = ["--manifest", str(corpus), "--out", str(tmp_path / "o")] if command == "train" else []
+    assert main([command, "--config", str(cfg), *args]) == 2
+    assert "model.symbols: duplicate symbol(s) lo" in capsys.readouterr().err
+
+
+def test_extract_repeated_utterance_id_exits_two(corpus, tmp_path, capsys):
+    rows = [line.split("\t") for line in corpus.read_text(encoding="utf-8").splitlines()[:3]]
+    rows[1][0] = rows[0][0]
+    repeated = tmp_path / "repeated.tsv"
+    repeated.write_text("".join(f"{utt}\t{corpus.parent / wav}\t{labels}\n"
+                                for utt, wav, labels in rows), encoding="utf-8")
+    out = tmp_path / "feats"
+    code = main(["extract", "--manifest", str(repeated), "--out", str(out)])
+    assert code == 2
+    assert "utterance id 'tone000' already used on line 1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.fixture(scope="module")
 def narrow_checkpoint(corpus, tiny_config, tmp_path_factory):
     """A checkpoint of a model for 38-band features (37 mels and energy)."""

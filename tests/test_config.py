@@ -71,6 +71,21 @@ def test_hash_changes_with_values():
     assert a != b
 
 
+def test_hash_inside_a_symbol_is_kept():
+    cfg = RunConfig(model=ModelConfig(symbols="aa h# pau"))
+    assert parse_config(dump_config(cfg)) == cfg
+    again = parse_config("# TIMIT subset\nmodel.symbols = aa h# pau  # closures follow\n")
+    assert again.model.symbol_list() == ["aa", "h#", "pau"]
+    assert parse_config("model.symbols = a\t# tab before a comment").model.symbol_list() == ["a"]
+
+
+@pytest.mark.parametrize("symbols,match", [("aa #h pau", "'#h' starts with '#'"),
+                                           ("lo mid lo", "duplicate symbol.*lo")])
+def test_bad_symbols_rejected(symbols, match):
+    with pytest.raises(ConfigError, match=f"model.symbols: .*{match}"):
+        ModelConfig(symbols=symbols).validate()
+
+
 def test_symbol_list():
     cfg = parse_config("model.symbols = sil ah k")
     assert cfg.model.symbol_list() == ["sil", "ah", "k"]

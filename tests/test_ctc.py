@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qspeech import ctc
 from qspeech.autodiff import Tensor, backward, concat, no_grad
 from qspeech.ctc import (SymbolTable, batch_ctc_loss, best_path_decode, collapse,
                          ctc_loss, ctc_loss_node, min_alignment_frames)
@@ -134,6 +135,19 @@ class TestLoss:
             out = ctc_loss_node(t, [0, 2, 2], BLANK)
         assert not out.requires_grad and out._parents == () and out._backward is None
         assert out.data == ctc_loss_node(t, [0, 2, 2], BLANK).data
+
+    def test_node_is_the_batch_node_of_one(self, monkeypatch):
+        # so the checks on ctc_loss_node cover the node a training step runs
+        calls = []
+
+        def spy(logits, lengths, targets, blank):
+            calls.append((logits.shape, list(lengths), [list(t) for t in targets], blank))
+            return batch_ctc_loss(logits, lengths, targets, blank)
+
+        monkeypatch.setattr(ctc, "batch_ctc_loss", spy)
+        t = Tensor(np.random.default_rng(7).normal(size=(6, 5)), requires_grad=True)
+        ctc_loss_node(t, [0, 2, 2], BLANK)
+        assert calls == [((1, 6, 5), [6], [[0, 2, 2]], BLANK)]
 
     def test_gradient_shifts_probability_toward_target(self):
         rng = np.random.default_rng(5)

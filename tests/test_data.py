@@ -34,6 +34,13 @@ def test_manifest_errors(tmp_path):
         read_manifest(p)
 
 
+def test_manifest_rejects_repeated_utterance_id(tmp_path):
+    p = tmp_path / "m.tsv"
+    p.write_text("u1\ta.qfeat\tk\nu2\tb.qfeat\tk\n\nu1\tc.qfeat\tah\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"m\.tsv:4: utterance id 'u1' already used on line 1"):
+        read_manifest(p)
+
+
 def test_derive_symbol_table_sorted():
     utts = [Utterance("u", np.zeros((4, 41, 5), np.float32), ["c", "a"]),
             Utterance("v", np.zeros((4, 41, 5), np.float32), ["b", "a"])]

@@ -196,8 +196,7 @@ class TestHamiltonExpansion:
             shape = (int(rng.integers(1, 4)), in_q, int(rng.integers(3, 9)),
                      int(rng.integers(5, 9)))
             assert_matches_expansion(
-                layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias, (1, 1),
-                                                 layer.padding),
+                layer, lambda q: hamilton_conv2d(q, layer.w, layer.bias, layer.padding),
                 rand_qtensor(rng, shape, requires_grad=True))
 
     def test_dense_matches_expansion(self):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from qspeech.quaternion import (I, J, K, ONE, Quaternion, conjugate, from_matrix_column,
-                                hamilton_product, norm, to_real_matrix, unit)
+                                hamilton_product, norm, to_real_matrix)
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -88,26 +88,8 @@ def test_conjugate_values():
 def test_norm_values():
     assert norm(Quaternion(0, 0, 0, 0)) == 0.0
     assert norm(Quaternion(1, 1, 1, 1)) == 2.0
-
-
-def test_unit_values():
-    assert unit(Quaternion(2, 0, 0, 0)) == Quaternion(1, 0, 0, 0)
-    u = unit(Quaternion(0, 3, 4, 0))
-    assert u.as_tuple() == pytest.approx((0.0, 0.6, 0.8, 0.0))
-    assert unit(Quaternion(1, 1, 1, 1)) == Quaternion(0.5, 0.5, 0.5, 0.5)
-
-
-@given(quats)
-@example(Quaternion(0.0, 0.0, 0.0, 5.053700834401319e-160))  # z*z is subnormal
-def test_unit_has_norm_one(q):
-    if norm(q) == 0.0:
-        return
-    assert norm(unit(q)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unit_rejects_zero():
-    with pytest.raises(ZeroDivisionError):
-        unit(Quaternion(0, 0, 0, 0))
+    tiny = 5.053700834401319e-160   # tiny * tiny is subnormal
+    assert norm(Quaternion(0.0, 0.0, 0.0, tiny)) == tiny
 
 
 def test_matrix_layout():

@@ -231,6 +231,35 @@ def test_resume_keeps_best_checkpoint(tmp_path):
     assert (run_dir / "last.ckpt").read_bytes() == (tmp_path / "full" / "last.ckpt").read_bytes()
 
 
+def test_resume_of_a_resume_across_the_optimizer_switch(tmp_path):
+    # Resume from epoch 1 (Adam), stop after epoch 3 (SGD), resume from there.
+    utts = tiny_data(seed=7)
+    train, dev = utts[:6], utts[6:]
+    cfg = tiny_cfg(epochs=2, fine_tune_epochs=2)
+    table = SymbolTable(SYMBOLS)
+    straight = _SnapshotTrainer(cfg, table, log_stream=io.StringIO(),
+                                snapshots=tmp_path / "snap_full")
+    full = straight.train(train, dev, tmp_path / "full")
+
+    first_dir, second_dir = tmp_path / "first", tmp_path / "second"
+    shutil.copytree(tmp_path / "snap_full" / "epoch1", first_dir)
+    first = _SnapshotTrainer(cfg, table, log_stream=io.StringIO(),
+                             snapshots=tmp_path / "snap_first")
+    first.resume(first_dir / "last.ckpt")
+    once = first.train(train, dev, first_dir)
+    shutil.copytree(tmp_path / "snap_first" / "epoch3", second_dir)
+    second = Trainer(cfg, table, log_stream=io.StringIO())
+    second.resume(second_dir / "last.ckpt")
+    twice = second.train(train, dev, second_dir)
+
+    def trajectory(history):
+        return [(h.epoch, h.phase, h.train_loss, h.dev_loss, h.dev_per) for h in history]
+    assert [h.phase for h in full.history] == ["adam", "adam", "sgd", "sgd"]
+    assert trajectory(full.history[:1] + once.history[:2] + twice.history) == \
+        trajectory(full.history)
+    assert (twice.best_epoch, twice.best_metric) == (full.best_epoch, full.best_metric)
+
+
 class _EpochSnapshots(Trainer):
     """Keeps the bytes of every checkpoint in the run directory as each
     epoch ended."""
