@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Peak memory and time of one paper-config training step.
+"""Peak memory and time of one training step of a model config.
 
-Builds the paper config (``ModelConfig()`` defaults, 61 symbols) and one
-batch of ``--batch`` ``synth_toy_dataset`` utterances, each exactly
-``--frames`` frames long. Then it runs one step the way the trainer does:
+Builds the model of ``--config PATH`` (by default the paper config,
+``ModelConfig()`` defaults), always with 61 symbols, and one batch of
+``--batch`` ``synth_toy_dataset`` utterances, each exactly ``--frames``
+frames long. Then it runs one step the way the trainer does:
 the forward pass with dropout on, ``batch_ctc_loss`` and ``backward``. It
 prints the bytes the graph holds when ``backward`` starts
 (``autodiff.graph_nbytes``, parameters not counted), the summed loss, the
@@ -11,6 +12,7 @@ seconds of the forward (CTC loss included) and of the backward, and the
 peak resident set size of the process (``ru_maxrss``).
 
 Usage: python3 scripts/step_memory.py --batch 8 --frames 300 [--seed N]
+       [--config configs/qcnn10_256.cfg]
 
 Run it under a virtual-memory limit (``ulimit -v 6500000``), so that a step
 that does not fit stops with a MemoryError, reported with the stage it
@@ -25,7 +27,7 @@ import time
 import numpy as np
 
 from qspeech.autodiff import backward, graph_nbytes
-from qspeech.config import ModelConfig
+from qspeech.config import ModelConfig, load_config
 from qspeech.ctc import SymbolTable, batch_ctc_loss
 from qspeech.data import make_batches, synth_toy_dataset
 from qspeech.model import build_model
@@ -40,15 +42,18 @@ def main() -> int:
     ap.add_argument("--batch", type=int, default=8)
     ap.add_argument("--frames", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--config", metavar="PATH",
+                    help="config file whose model section to build (default: paper config)")
     args = ap.parse_args()
+    model_cfg = ModelConfig() if args.config is None else load_config(args.config).model
 
     rng = np.random.default_rng(args.seed)
     table = SymbolTable(tuple(f"p{i:02d}" for i in range(61)))
     utts = synth_toy_dataset(args.batch, table.symbols, rng,
                              min_frames=args.frames, max_frames=args.frames)
     (batch,) = make_batches(utts, table, args.batch)
-    model = build_model(ModelConfig(), table.num_classes, rng)
-    print(f"batch {args.batch} x {args.frames} frames, paper config, "
+    model = build_model(model_cfg, table.num_classes, rng)
+    print(f"batch {args.batch} x {args.frames} frames, {args.config or 'paper config'}, "
           f"setup peak RSS {peak_rss_mb():.0f} MB")
 
     stage = "forward"

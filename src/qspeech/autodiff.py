@@ -22,10 +22,12 @@ array arithmetic; the differentiation rules live here.
 
 Each op keeps only what its backward reads. ``conv2d`` computes
 cross-correlation (no kernel flip) with zero padding, the usual
-deep-learning convention. It runs as a few shifted GEMMs on a padded
-channels-last copy of the input and builds no im2col matrix; its backward
-closure keeps no array at all and rebuilds that padded copy from the input,
-which the graph holds anyway as the node's parent. ``prelu`` likewise
+deep-learning convention. It runs as one GEMM per frequency tap on a strip
+of the padded channels-last input that has a row for each output column
+only, and builds no im2col matrix. Its input gradient is the same routine
+run on the output gradient with the flipped kernel. Its backward closure
+keeps no array at all and rebuilds the padded input from the input, which
+the graph holds anyway as the node's parent. ``prelu`` likewise
 keeps only its input and slopes and rebuilds its gain in the backward.
 Products skip the gradient of an operand that does not require one (a
 dropout mask, say).
@@ -255,15 +257,50 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     return out
 
 
-def _strip(xp: np.ndarray, rows: int, kw: int) -> np.ndarray:
-    """Time-tap matrix of a padded channels-last input ``xp``.
+def _strip(xp: np.ndarray, ow: int, kw: int, sw: int) -> np.ndarray:
+    """Time-tap matrix of a padded channels-last input ``xp`` (H', B, W', C).
 
-    Seen as flat rows of C channels, row ``r`` of the result holds rows
-    ``r .. r+kw-1`` of ``xp`` side by side. It is a fresh contiguous copy,
-    so the caller can drop it.
+    Row ``(f, b*ow + j)`` of the (H', B*ow, kw*C) result holds the kw time
+    taps of output column ``j`` of utterance ``b`` at frequency row ``f``
+    side by side, so only output columns get a row. It is a fresh
+    contiguous copy, so the caller can drop ``xp``.
     """
-    c, s = xp.shape[-1], xp.itemsize
-    return np.ascontiguousarray(as_strided(xp, (rows, kw * c), (c * s, s), writeable=False))
+    hp, b, _, c = xp.shape
+    s_f, s_b, s_t, s_c = xp.strides
+    view = as_strided(xp, (hp, b, ow, kw, c), (s_f, s_b, sw * s_t, s_t, s_c), writeable=False)
+    return np.ascontiguousarray(view).reshape(hp, b * ow, kw * c)
+
+
+def _tap(strip: np.ndarray, u: int, sh: int, oh: int) -> np.ndarray:
+    """The strip rows frequency tap ``u`` reads, as one (oh*B*ow, kw*C)
+    matrix: a view when ``sh`` is 1."""
+    return strip[u:u + sh * (oh - 1) + 1:sh].reshape(-1, strip.shape[2])
+
+
+def _correlate(strip: np.ndarray, wk: np.ndarray, sh: int, oh: int) -> np.ndarray:
+    """Cross-correlation as one GEMM per frequency tap.
+
+    ``strip`` comes from ``_strip``; ``wk`` holds one (kw*C, c_out) matrix
+    per frequency tap, rows in strip order. Returns the (oh*B*ow, c_out)
+    output grid, frequency-major.
+    """
+    grid = np.empty((oh * strip.shape[1], wk.shape[2]))
+    np.matmul(_tap(strip, 0, sh, oh), wk[0], out=grid)
+    for u in range(1, len(wk)):
+        grid += _tap(strip, u, sh, oh) @ wk[u]
+    return grid
+
+
+def _dilation(offset: int, stride: int, n: int, size: int) -> tuple[slice, slice]:
+    """Where ``n`` gradient rows go in a zero-dilated buffer of ``size``
+    rows: row ``i`` lands at ``offset + i*stride``. Rows that land outside
+    belong to windows that read padding only. Returns (buffer, gradient)
+    slices."""
+    lo = max(0, -(offset // stride))
+    hi = min(n, (size - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    return slice(offset + lo * stride, offset + (hi - 1) * stride + 1, stride), slice(lo, hi)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
@@ -275,16 +312,16 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     ``(extent + 2*pad - k) // stride + 1``.
 
     Shifted GEMMs, with no im2col matrix. The input is padded into a
-    channels-last, frequency-major copy ``xp`` (H', B, W', C); seen as flat
-    rows of C channels, tap (u, v) of output row ``r`` is row
-    ``r + u*B*W' + v``. A transient strip (``_strip``) puts the kw time
-    taps of each row side by side, and one contiguous GEMM per frequency
-    tap adds into the output rows. Being frequency-major, the GEMMs skip
-    the padding rows of the frequency axis; rows whose window wraps past
-    the end of a time row are computed and discarded, as are the rows
-    between strides. The backward closure keeps no array: the weight
-    gradient pads ``x`` again and rebuilds the strip, and the input
-    gradient adds one GEMM per frequency tap into shifted rows.
+    channels-last, frequency-major copy (H', B, W', C). A transient strip
+    (``_strip``) puts the kw time taps of each output column side by side,
+    so only output columns get a row, and one GEMM per frequency tap adds
+    into the (oh*B*ow, c_out) output grid (``_correlate``). The backward
+    closure keeps no array. The weight gradient pads ``x`` again and
+    rebuilds the strip. The input gradient is one more correlation: the
+    output gradient, zero-dilated by the stride and padded by
+    ``k - 1 - pad``, with the kernel flipped in both spatial axes and its
+    channel axes swapped. Trailing input rows or columns that no window
+    reads get a zero gradient.
     """
     sh, sw = stride
     ph, pw = padding
@@ -302,46 +339,44 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     hp, wp = h + 2 * ph, wd + 2 * pw
     oh = (hp - kh) // sh + 1
     ow = (wp - kw) // sw + 1
-    valid = (slice(0, sh * (oh - 1) + 1, sh), slice(None), slice(0, sw * (ow - 1) + 1, sw))
-    fs = bsz * wp                                  # flat rows per frequency row
-    n = hp * fs
-    m = max(n - (kh - 1) * fs - (kw - 1), 0)      # rows whose taps all lie in xp
-    rows = m + (kh - 1) * fs
 
-    def padded():   # xp, rebuilt from x.data rather than kept for the backward
+    def strip():   # rebuilt from x.data rather than kept for the backward
         xp = np.zeros((hp, bsz, wp, cin))
         xp[ph:ph + h, :, pw:pw + wd] = x.data.transpose(2, 0, 3, 1)
-        return xp
+        return _strip(xp, ow, kw, sw)
 
-    def kernel_mats():   # one (kw*cin, cout) matrix per frequency tap, rows in strip order
-        return w.data.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
-
-    strip = _strip(padded(), rows, kw)
-    wk = kernel_mats()
-    grid = np.empty((n, cout))
-    np.matmul(strip[:m], wk[0], out=grid[:m])
-    for u in range(1, kh):
-        grid[:m] += strip[u * fs:u * fs + m] @ wk[u]
-    del strip
-    out = Tensor._result(grid.reshape(hp, bsz, wp, cout)[valid].transpose(1, 3, 0, 2), (x, w))
+    grid = _correlate(strip(), w.data.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout), sh, oh)
+    out = Tensor._result(grid.reshape(oh, bsz, ow, cout).transpose(1, 3, 0, 2), (x, w))
     if out.requires_grad:
+        def input_grad():
+            # trailing input rows and columns past eh, ew are read by no window
+            eh = h - max(0, (hp - kh) % sh - ph)
+            ew = wd - max(0, (wp - kw) % sw - pw)
+            if eh <= 0 or ew <= 0:
+                return np.zeros(x.data.shape)
+            gp = np.zeros((eh + kh - 1, bsz, ew + kw - 1, cout))
+            fd, fg = _dilation(kh - 1 - ph, sh, oh, eh + kh - 1)
+            td, tg = _dilation(kw - 1 - pw, sw, ow, ew + kw - 1)
+            gp[fd, :, td] = out.grad[:, :, fg, tg].transpose(2, 0, 3, 1)
+            s = _strip(gp, ew, kw, 1)
+            del gp
+            wf = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh, kw * cout, cin)
+            grid = _correlate(s, wf, 1, eh)
+            del s
+            gx = np.empty(x.data.shape) if (eh, ew) == (h, wd) else np.zeros(x.data.shape)
+            gx[:, :, :eh, :ew] = grid.reshape(eh, bsz, ew, cin).transpose(1, 3, 0, 2)
+            return gx
+
         def bw():
-            g = np.zeros((n, cout))
-            g.reshape(hp, bsz, wp, cout)[valid] = out.grad.transpose(2, 0, 3, 1)
-            g = g[:m]
             if w.requires_grad:
-                strip = _strip(padded(), rows, kw)
-                gw = np.stack([strip[u * fs:u * fs + m].T @ g for u in range(kh)])
-                del strip
+                g = np.ascontiguousarray(out.grad.transpose(2, 0, 3, 1)).reshape(-1, cout)
+                s = strip()
+                gw = np.stack([_tap(s, u, sh, oh).T @ g for u in range(kh)])
+                del s, g
                 w._accum(gw.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
             if x.requires_grad:
-                gxp = np.zeros((n, cin))
-                for u, wku in enumerate(kernel_mats()):
-                    part = g @ wku.T   # gradient of the strip rows this tap's GEMM read
-                    for v in range(kw):
-                        gxp[u * fs + v:u * fs + v + m] += part[:, v * cin:(v + 1) * cin]
-                x._accum(gxp.reshape(hp, bsz, wp, cin)[ph:ph + h, :, pw:pw + wd]
-                         .transpose(1, 3, 0, 2))
+                x._accum(input_grad(), owned=True)
+
         out._backward = bw
     return out
 

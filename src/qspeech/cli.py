@@ -81,6 +81,10 @@ def cmd_extract(args) -> int:
     entries = read_manifest(args.manifest)
     jobs = []
     for utt_id, wav_path, labels in entries:
+        # the ID names the feature file, so it must be one plain name inside --out
+        if "/" in utt_id or "\0" in utt_id or utt_id in (".", ".."):
+            raise DataError(f"{args.manifest}: utterance id {utt_id!r} cannot name a feature "
+                            f"file (it contains '/' or NUL, or is '.' or '..')")
         jobs.append((utt_id, wav_path, out_dir / f"{utt_id}.qfeat", cfg.features))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 import wave
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +111,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=8)
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
-    """Triangular filters, (n_mels, fft_size//2 + 1), over [0, nyquist]."""
+    """Triangular filters, (n_mels, fft_size//2 + 1), over [0, nyquist].
+
+    Built once per geometry and shared, so the array is read-only.
+    """
     n_bins = fft_size // 2 + 1
     bin_hz = np.arange(n_bins) * sample_rate / fft_size
     edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2))
@@ -121,6 +126,7 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
         rising = (bin_hz - lo) / (mid - lo)
         falling = (hi - bin_hz) / (hi - mid)
         fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False
     return fb
 
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import types
 import weakref
 import zlib
@@ -172,6 +173,43 @@ def test_conv2d_gradient_strided():
     w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     fn = lambda: (conv2d(x, w, (2, 1), (1, 1)) * conv2d(x, w, (2, 1), (1, 1))).sum()
     assert check_gradients(fn, [x, w]) < 1e-5
+
+
+# Strides that leave trailing input rows or columns that no window reads
+# (their gradient must be exactly zero), strides wider than the kernel, and
+# padding wider than the kernel, whose outer windows read padding only.
+@pytest.mark.parametrize("stride,padding,kernel,extent,unread", [
+    ((2, 2), (0, 0), (3, 5), (6, 8), (True, True)),
+    ((1, 2), (0, 0), (3, 5), (5, 8), (False, True)),
+    ((2, 2), (1, 2), (3, 5), (6, 8), (False, False)),
+    ((1, 2), (1, 2), (3, 5), (5, 9), (False, False)),
+    ((3, 4), (1, 2), (3, 3), (6, 6), (True, True)),
+    ((2, 3), (2, 2), (1, 2), (3, 4), (False, True)),
+])
+def test_conv2d_gradient_strided_unread_tail(stride, padding, kernel, extent, unread):
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 2) + extent), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2) + kernel), requires_grad=True)
+    fn = lambda: (conv2d(x, w, stride, padding) * conv2d(x, w, stride, padding)).sum()
+    assert check_gradients(fn, [x, w]) < 1e-5
+    assert (not np.any(x.grad[:, :, -1])) == unread[0]
+    assert (not np.any(x.grad[:, :, :, -1])) == unread[1]
+
+
+def test_conv2d_backward_scratch_is_bounded():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(4, 128, 13, 30)), requires_grad=True)
+    w = Tensor(rng.normal(size=(128, 128, 3, 5)), requires_grad=True)
+    out = conv2d(x, w, (1, 1), (1, 2))
+    out.grad = np.ones(out.shape)
+    tracemalloc.start()
+    try:
+        out._backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # gradients, strips and GEMM outputs of one backward, in input sizes
+    assert peak < 15 * x.data.nbytes
 
 
 def test_backward_requires_scalar():

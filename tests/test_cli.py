@@ -271,6 +271,21 @@ def test_extract_repeated_utterance_id_exits_two(corpus, tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("bad_id", ["a/b", "../x", "nul\0id", ".", ".."])
+def test_extract_unusable_utterance_id_exits_two_before_writing(corpus, tmp_path, capsys,
+                                                                bad_id):
+    rows = [line.split("\t") for line in corpus.read_text(encoding="utf-8").splitlines()[:2]]
+    rows[1][0] = bad_id
+    manifest = tmp_path / "bad_id.tsv"
+    manifest.write_text("".join(f"{utt}\t{corpus.parent / wav}\t{labels}\n"
+                                for utt, wav, labels in rows), encoding="utf-8")
+    out = tmp_path / "feats"
+    code = main(["extract", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 2
+    assert f"utterance id {bad_id!r} cannot name a feature file" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.qfeat"))
+
+
 @pytest.fixture(scope="module")
 def narrow_checkpoint(corpus, tiny_config, tmp_path_factory):
     """A checkpoint of a model for 38-band features (37 mels and energy)."""

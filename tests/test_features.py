@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qspeech import features
 from qspeech.errors import DataError
 from qspeech.features import (MAGIC, FeatureConfig, FeatureSequence, delta, extract,
                               load_features, log_mel_energies, mel_filterbank,
@@ -112,6 +113,21 @@ class TestLogMel:
     def test_too_short_utterance(self):
         with pytest.raises(DataError):
             log_mel_energies(np.zeros(CFG.window_length - 1), CFG)
+
+    def test_filterbank_is_built_once_and_read_only(self):
+        fb = mel_filterbank(CFG.n_mels, CFG.fft_size, CFG.sample_rate)
+        assert mel_filterbank(CFG.n_mels, CFG.fft_size, CFG.sample_rate) is fb
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        fresh = mel_filterbank.__wrapped__(CFG.n_mels, CFG.fft_size, CFG.sample_rate)
+        assert np.array_equal(fb, fresh)
+
+    def test_extract_unchanged_by_the_cached_filterbank(self, monkeypatch):
+        wave = np.random.default_rng(3).normal(scale=0.1, size=2000)
+        cached = extract(wave, CFG).data
+        monkeypatch.setattr(features, "mel_filterbank", mel_filterbank.__wrapped__)
+        assert np.array_equal(extract(wave, CFG).data, cached)
 
     def test_mel_scale_inverts(self):
         f = np.linspace(0, 8000, 50)
