@@ -32,6 +32,17 @@ keeps only its input and slopes and rebuilds its gain in the backward.
 Products skip the gradient of an operand that does not require one (a
 dropout mask, say).
 
+A node's own data can be rebuilt too. An op that can recompute its
+output bit for bit from its parents records a ``rebuild`` function with
+the node, and the caller may ``drop`` the node's data (set it to None)
+once the forward has read it. ``backward`` rebuilds a dropped node just
+before the first of its children runs its closure, and runs the node's
+own closure right after the child that reached it in the walk (for a
+node with one child, right after the child that rebuilt it), so the
+rebuilt array and its gradient live only that long. Under ``no_grad``
+nothing is recorded, so nothing is dropped. The quaternion layers drop
+their block weight this way (``qlayers.hamilton_block``).
+
 A gradient takes its first contribution instead of adding it to zeros.
 An array the op allocated for that contribution alone becomes the
 gradient as it is; ``out.grad``, views of it and broadcasts are copied, so
@@ -85,7 +96,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A float64 array node in a dynamically recorded computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -96,16 +107,28 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple["Tensor", ...] = ()
         self._backward = None
+        self._rebuild = None
 
     # -- graph plumbing ---------------------------------------------------
 
     @staticmethod
-    def _result(data, parents: tuple["Tensor", ...]) -> "Tensor":
+    def _result(data, parents: tuple["Tensor", ...], rebuild=None) -> "Tensor":
+        """A new node over ``parents``. ``rebuild`` recomputes ``data`` from
+        the parents, bit for bit; a recorded node that has one may
+        ``drop`` its data."""
         out = Tensor(data)
         if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
+            out._rebuild = rebuild
         return out
+
+    def drop(self) -> None:
+        """Free the data of a recorded node that can rebuild it; ``backward``
+        rebuilds it before the first child closure runs. A no-op on any
+        other node."""
+        if self._rebuild is not None:
+            self.data = None
 
     def _accum(self, g: np.ndarray, owned: bool = False) -> None:
         """Add a gradient contribution. ``owned`` says the op allocated
@@ -436,6 +459,11 @@ def backward(loss: Tensor) -> None:
     by setting ``.grad = None``) between steps. The graph is consumed: each
     node is released right after its closure runs, so a second
     ``backward`` through the same graph reaches no parameter.
+
+    A dropped node (``Tensor.drop``) is rebuilt just before the first of its
+    children runs its closure. The walk visits a node's rebuildable parents
+    last, so such a parent runs its own closure, and is released, right
+    after the child that reached it rather than at the end of the pass.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -448,7 +476,9 @@ def backward(loss: Tensor) -> None:
         st = state.get(id(node), 0)
         if st == 0:
             state[id(node)] = 1
-            for p in node._parents:
+            # rebuildable parents are pushed first, so explored last: topo pops
+            # each right after node
+            for p in sorted(node._parents, key=lambda p: p._rebuild is None):
                 if state.get(id(p), 0) == 0:
                     stack.append(p)
         else:
@@ -461,6 +491,9 @@ def backward(loss: Tensor) -> None:
     # released node is freed as soon as nothing outside the graph holds it.
     while topo:
         node = topo.pop()
+        for p in node._parents:   # the first child rebuilds a dropped parent
+            if p.data is None:
+                p.data = p._rebuild()
         if node._backward is not None:
             node._backward()
             # Release only after the call: a wrapped closure may still expect
@@ -495,11 +528,11 @@ def graph_nbytes(root: Tensor, stop: Iterable[Tensor] = ()) -> int:
     """Bytes the graph under ``root`` holds for its backward.
 
     Walks ``root`` and its ancestors through their parents, not entering
-    the ``stop`` tensors, and sums the data of every node reached and the
-    arrays its backward closure holds. Each underlying buffer counts once,
-    so views add nothing, and the buffers of the ``stop`` tensors' data
-    count not at all (pass the inputs and parameters to count only what
-    the graph adds).
+    the ``stop`` tensors, and sums the data of every node reached (none for
+    a dropped node) and the arrays its backward closure holds. Each
+    underlying buffer counts once, so views add nothing, and the buffers
+    of the ``stop`` tensors' data count not at all (pass the inputs and
+    parameters to count only what the graph adds).
     """
     stop = list(stop)
     seen = {id(_buffer(t.data)) for t in stop}
@@ -508,7 +541,8 @@ def graph_nbytes(root: Tensor, stop: Iterable[Tensor] = ()) -> int:
     stack = [root] if id(root) not in visited else []
     while stack:
         node = stack.pop()
-        arrays = [node.data, *_held_arrays(node._backward, set())]
+        # a dropped node's data is None, which holds no array
+        arrays = _held_arrays((node.data, node._backward), set())
         for buf in map(_buffer, arrays):
             if id(buf) not in seen:
                 seen.add(id(buf))

@@ -92,11 +92,14 @@ def cmd_extract(args) -> int:
     else:
         done = dict(_extract_one(job) for job in jobs)
     manifest_path = out_dir / "manifest.tsv"
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        for utt_id, _, labels in entries:
-            # read_manifest resolves relative entries against the manifest's directory
-            rel = Path(done[utt_id]).relative_to(out_dir)
-            f.write(f"{utt_id}\t{rel}\t{' '.join(labels)}\n")
+    try:
+        with open(manifest_path, "w", encoding="utf-8") as f:
+            for utt_id, _, labels in entries:
+                # read_manifest resolves relative entries against the manifest's directory
+                rel = Path(done[utt_id]).relative_to(out_dir)
+                f.write(f"{utt_id}\t{rel}\t{' '.join(labels)}\n")
+    except OSError as e:
+        raise DataError(f"{manifest_path}: cannot write manifest ({e.strerror})") from None
     print(f"wrote {len(entries)} feature files and {manifest_path}")
     return 0
 

@@ -197,11 +197,14 @@ def extract(waveform: np.ndarray, cfg: FeatureConfig) -> FeatureSequence:
 def save_features(path: str | Path, fs: FeatureSequence) -> None:
     """Write magic, version, frame count, width, then the three streams
     as row-major little-endian float32."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<III", VERSION, fs.n_frames, fs.width))
-        for plane in (1, 2, 3):
-            f.write(np.ascontiguousarray(fs.data[plane], dtype="<f4").tobytes())
+    try:
+        with open(path, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<III", VERSION, fs.n_frames, fs.width))
+            for plane in (1, 2, 3):
+                f.write(np.ascontiguousarray(fs.data[plane], dtype="<f4").tobytes())
+    except OSError as e:    # a name too long for the file system, a full disk
+        raise DataError(f"{path}: cannot write feature file ({e.strerror})") from None
 
 
 def load_features(path: str | Path) -> FeatureSequence:

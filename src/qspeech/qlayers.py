@@ -15,7 +15,10 @@ The layers compute it as one real operation on the stacked input:
 ``hamilton_block`` builds the real weight with the 4x4 block structure
 [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]] from the four weight
 planes, and one ``conv2d`` (``linear``) applies it as stored, giving the
-stacked output. Two independent routes check this:
+stacked output. The block is transient: once the product has run, the
+layer drops it, and ``autodiff.backward`` rebuilds it from the planes for
+the product's backward, so a training graph holds no block weight. Two
+independent routes check this:
 ``selftest.hamilton_conv2d``/``hamilton_dense`` expand the product above
 into 16 real convolutions (matrix products), and ``block_weight_matrix``
 is a numpy oracle of the block weight that no layer calls.
@@ -248,24 +251,32 @@ def hamilton_block(planes: Sequence[Tensor]) -> Tensor:
 
     Planes (out_q, in_q, ...) give a (4*out_q, 4*in_q, ...) weight whose
     block (a, b) is a signed copy of one plane, following
-    [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]]. The backward pass
-    folds each block's gradient back into its plane with the same sign.
+    [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]]. A recorded block is
+    transient: a layer may ``drop`` it once its product has run, and
+    ``backward`` rebuilds it bit for bit from the planes by the same signed
+    copies. The backward pass adds or subtracts each block's gradient into
+    its plane's gradient in place.
     """
     planes = tuple(planes)
     plane_shape = planes[0].data.shape
     rows, cols, *rest = plane_shape
-    blocks = np.empty((4, rows, 4, cols, *rest))
-    for a, row in enumerate(_HAMILTON_BLOCKS):
-        for b, (p, sign) in enumerate(row):
-            np.multiply(planes[p].data, sign, out=blocks[a, :, b])
-    out = Tensor._result(blocks.reshape(4 * rows, 4 * cols, *rest), planes)
+
+    def build() -> np.ndarray:
+        blocks = np.empty((4, rows, 4, cols, *rest))
+        for a, row in enumerate(_HAMILTON_BLOCKS):
+            for b, (p, sign) in enumerate(row):
+                np.multiply(planes[p].data, sign, out=blocks[a, :, b])
+        return blocks.reshape(4 * rows, 4 * cols, *rest)
+
+    out = Tensor._result(build(), planes, rebuild=build)
     if out.requires_grad:
         def bw():
             g = out.grad.reshape(4, rows, 4, cols, *rest)
             folded = [np.zeros(plane_shape) for _ in planes]
             for a, row in enumerate(_HAMILTON_BLOCKS):
                 for b, (p, sign) in enumerate(row):
-                    folded[p] += sign * g[a, :, b]
+                    fold = np.add if sign > 0 else np.subtract
+                    fold(folded[p], g[a, :, b], out=folded[p])
             for t, gp in zip(planes, folded):
                 t._accum(gp, owned=True)
         out._backward = bw
@@ -274,8 +285,11 @@ def hamilton_block(planes: Sequence[Tensor]) -> Tensor:
 
 def _hamilton_layer(q: QTensor, w: QTensor, bias: QTensor | None,
                     op: Callable[[Tensor, Tensor], Tensor]) -> QTensor:
-    """Apply ``op`` to the stacked input and the block weight; add the bias."""
-    out = op(q.stacked(), hamilton_block(w.components))
+    """Apply ``op`` to the stacked input and the block weight, then drop the
+    block (the backward rebuilds it); add the bias."""
+    block = hamilton_block(w.components)
+    out = op(q.stacked(), block)
+    block.drop()
     if bias is not None:
         out = out + concat(bias.components, axis=0)
     return QTensor.of(out)

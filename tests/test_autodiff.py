@@ -428,3 +428,82 @@ def test_backward_frees_intermediates_by_refcount():
     finally:
         if enabled:
             gc.enable()
+
+
+def _transient_graph(drop: bool) -> types.SimpleNamespace:
+    """``x*x`` as a node that can rebuild its data, read by the backward of
+    two children, ``sq * w`` and ``linear(sq, v)``. ``rebuilds`` counts the
+    rebuilds; ``saw_data`` records, for each closure that reads the node (its
+    own and its children's), whether the node had its data when it ran."""
+    rng = np.random.default_rng(16)
+    x, w, v = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((3, 4), (3, 4), (2, 4)))
+    rebuilds, saw_data = [], []
+
+    def square():
+        rebuilds.append(1)
+        return x.data * x.data
+
+    sq = Tensor._result(x.data * x.data, (x,), rebuild=square)
+
+    def sq_bw():
+        saw_data.append(sq.data is not None)
+        x._accum(2.0 * x.data * sq.grad, owned=True)
+    sq._backward = sq_bw
+    children = [sq * w, linear(sq, v)]
+    for child in children:
+        child._backward = lambda fn=child._backward: (saw_data.append(sq.data is not None),
+                                                      fn())
+    if drop:
+        sq.drop()
+    return types.SimpleNamespace(loss=children[0].sum() + children[1].sum(), sq=sq,
+                                 leaves=(x, w, v), rebuilds=rebuilds, saw_data=saw_data)
+
+
+def test_dropped_node_is_rebuilt_once_for_two_children():
+    g = _transient_graph(drop=True)
+    assert g.sq.data is None and g.rebuilds == []
+    backward(g.loss)
+    assert g.rebuilds == [1]                 # the second child finds the data present
+    assert g.saw_data == [True, True, True]  # both children, then the node itself
+
+
+def test_dropped_node_gives_bit_identical_gradients():
+    kept, dropped = _transient_graph(drop=False), _transient_graph(drop=True)
+    backward(kept.loss)
+    backward(dropped.loss)
+    assert kept.rebuilds == [] and dropped.rebuilds == [1]
+    for a, b in zip(kept.leaves, dropped.leaves):
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def test_graph_nbytes_excludes_dropped_data():
+    kept, dropped = _transient_graph(drop=False), _transient_graph(drop=True)
+    held_kept = graph_nbytes(kept.loss, stop=kept.leaves)
+    assert held_kept - graph_nbytes(dropped.loss, stop=dropped.leaves) == kept.sq.data.nbytes
+
+
+def test_drop_frees_only_recorded_nodes_that_can_rebuild():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with no_grad():   # nothing is recorded, so nothing is dropped
+        t = Tensor._result(x.data * 2.0, (x,), rebuild=lambda: x.data * 2.0)
+    t.drop()
+    plain = x * 2.0   # recorded, but cannot rebuild
+    plain.drop()
+    assert t.data is not None and plain.data is not None
+
+
+def test_rebuilt_node_is_released_right_after_its_child():
+    a = Tensor(np.ones(3), requires_grad=True)
+    w = Tensor(np.full(3, 2.0), requires_grad=True)
+    h = a * 3.0
+    t = Tensor._result(w.data * w.data, (w,), rebuild=lambda: w.data * w.data)
+    t._backward = lambda: w._accum(2.0 * w.data * t.grad, owned=True)
+    child = h * t
+    t.drop()
+    order = []
+    for name, node in (("h", h), ("t", t), ("child", child)):
+        node._backward = lambda fn=node._backward, name=name: (order.append(name), fn())
+    backward(child.sum())
+    # t runs before h's side of the graph, not at the end of the pass
+    assert order == ["child", "t", "h"]
+    assert np.array_equal(w.grad, np.full(3, 12.0)) and np.array_equal(a.grad, np.full(3, 12.0))

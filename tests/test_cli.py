@@ -286,6 +286,27 @@ def test_extract_unusable_utterance_id_exits_two_before_writing(corpus, tmp_path
     assert not list(tmp_path.rglob("*.qfeat"))
 
 
+def test_extract_utterance_id_too_long_for_a_file_name_exits_two(corpus, tmp_path, capsys):
+    rows = [line.split("\t") for line in corpus.read_text(encoding="utf-8").splitlines()[:2]]
+    rows[1][0] = "u" * 300   # past the usual 255-byte file name limit
+    manifest = tmp_path / "long_id.tsv"
+    manifest.write_text("".join(f"{utt}\t{corpus.parent / wav}\t{labels}\n"
+                                for utt, wav, labels in rows), encoding="utf-8")
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "cannot write feature file" in err
+    assert "Traceback" not in err
+
+
+def test_extract_unwritable_manifest_exits_two(corpus, tmp_path, capsys):
+    out = tmp_path / "feats"
+    (out / "manifest.tsv").mkdir(parents=True)   # a directory where the manifest goes
+    assert main(["extract", "--manifest", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "cannot write manifest" in err
+
+
 @pytest.fixture(scope="module")
 def narrow_checkpoint(corpus, tiny_config, tmp_path_factory):
     """A checkpoint of a model for 38-band features (37 mels and energy)."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qspeech.autodiff import Tensor, graph_nbytes
 from qspeech.config import ModelConfig
 from qspeech.errors import ConfigError
 from qspeech.model import build_model, build_real_model, count_params
@@ -131,3 +132,16 @@ def test_real_model_forward_shape():
     rng = np.random.default_rng(11)
     model = build_real_model(SMALL, n_classes=5, rng=rng)
     assert model.forward(features(rng, 2, 9, 7)).shape == (2, 7, 5)
+
+
+def test_training_graph_holds_no_block_weight():
+    # Each quaternion layer drops its 4x4 block weight once its product has
+    # run; the backward rebuilds it from the four planes.
+    rng = np.random.default_rng(12)
+    cfg = ModelConfig()
+    model = build_model(cfg, n_classes=62, rng=rng)
+    x = Tensor(rng.normal(size=(2, 4 * cfg.in_channels, cfg.in_freq, 20)))
+    out = model.forward(QTensor.of(x), training=True, rng=rng)
+    held = graph_nbytes(out, stop=[x] + [t for _, t in model.parameters()])
+    block_weights = sum(16 * layer.w.r.data.nbytes for layer in model.convs + model.denses)
+    assert held < block_weights
