@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Time one paper-config convolution, forward and backward.
+
+Runs a 128 -> 128 channel ``autodiff.conv2d`` with a 3x5 kernel and 'same'
+padding (1, 2) at two input shapes, (4, 128, 13, 30) and (8, 128, 13, 300),
+``--reps`` times each, and prints the median milliseconds of the forward
+and of the backward per shape. The backward is the conv node's own closure
+(input and weight gradient) run on a fixed output gradient, so no other op
+is timed.
+
+Usage: python3 scripts/conv_time.py [--reps N]
+"""
+
+import argparse
+import sys
+import time
+from statistics import median
+
+import numpy as np
+
+from qspeech.autodiff import Tensor, conv2d
+
+SHAPES = [(4, 128, 13, 30), (8, 128, 13, 300)]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("--reps", type=int, default=15, help="repetitions per shape")
+    args = ap.parse_args()
+    if args.reps < 1:
+        ap.error(f"--reps must be >= 1, got {args.reps}")
+
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.normal(size=(128, 128, 3, 5)) / 25.0, requires_grad=True)
+    for shape in SHAPES:
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        g = rng.normal(size=shape)
+        fwd, bwd = [], []
+        for _ in range(args.reps):
+            t0 = time.perf_counter()
+            out = conv2d(x, w, padding=(1, 2))
+            t1 = time.perf_counter()
+            out.grad, x.grad, w.grad = g, None, None
+            t2 = time.perf_counter()
+            out._backward()
+            t3 = time.perf_counter()
+            fwd.append(t1 - t0)
+            bwd.append(t3 - t2)
+            del out
+        print(f"{shape}: forward {1e3 * median(fwd):.1f} ms  backward "
+              f"{1e3 * median(bwd):.1f} ms  (median of {args.reps})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,15 +20,16 @@ A graph therefore supports one ``backward``; leaf gradients stay until
 All data is stored as contiguous float64 numpy arrays. numpy supplies the
 array arithmetic; the differentiation rules live here.
 
-Each op keeps only what its backward reads. ``conv2d`` computes
-cross-correlation (no kernel flip) with zero padding, the usual
-deep-learning convention. It runs as one GEMM per frequency tap on a strip
-of the padded channels-last input that has a row for each output column
-only, and builds no im2col matrix. Its input gradient is the same routine
-run on the output gradient with the flipped kernel. Its backward closure
-keeps no array at all and rebuilds the padded input from the input, which
-the graph holds anyway as the node's parent. ``prelu`` likewise
-keeps only its input and slopes and rebuilds its gain in the backward.
+Each op keeps only what its backward reads. ``conv2d`` computes stride-1
+cross-correlation (no kernel flip) with zero padding of at most ``k - 1``,
+the usual deep-learning convention. One routine, ``_correlate``, runs it as
+one GEMM per frequency tap on a strip of the padded channels-last input
+that has a row for each output column only, with no im2col matrix; the
+input gradient is that routine run on the output gradient with the flipped
+kernel. The backward closure keeps no array at all: the weight gradient
+rebuilds the strip from the input, which the graph holds anyway as the
+node's parent. ``prelu`` likewise keeps only its input and slopes and
+rebuilds its gain in the backward.
 Products skip the gradient of an operand that does not require one (a
 dropout mask, say).
 
@@ -58,7 +59,7 @@ from contextvars import ContextVar
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["Tensor", "backward", "no_grad", "linear", "prelu", "conv2d", "maxpool1d",
            "concat", "graph_nbytes"]
@@ -280,125 +281,75 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     return out
 
 
-def _strip(xp: np.ndarray, ow: int, kw: int, sw: int) -> np.ndarray:
-    """Time-tap matrix of a padded channels-last input ``xp`` (H', B, W', C).
-
-    Row ``(f, b*ow + j)`` of the (H', B*ow, kw*C) result holds the kw time
-    taps of output column ``j`` of utterance ``b`` at frequency row ``f``
-    side by side, so only output columns get a row. It is a fresh
-    contiguous copy, so the caller can drop ``xp``.
-    """
-    hp, b, _, c = xp.shape
-    s_f, s_b, s_t, s_c = xp.strides
-    view = as_strided(xp, (hp, b, ow, kw, c), (s_f, s_b, sw * s_t, s_t, s_c), writeable=False)
-    return np.ascontiguousarray(view).reshape(hp, b * ow, kw * c)
+def _strip(a: np.ndarray, ph: int, pw: int, kw: int) -> np.ndarray:
+    """Time-tap matrix of a (B, C, H, W) array ``a`` zero-padded by (ph, pw):
+    row ``(f, b, j)`` of the (H + 2*ph, B, ow, kw*C) result holds the kw
+    time taps of output column ``j`` of utterance ``b`` at padded frequency
+    row ``f`` side by side. The padded channels-last copy is freed on return."""
+    b, c, h, wd = a.shape
+    xp = np.zeros((h + 2 * ph, b, wd + 2 * pw, c))
+    xp[ph:ph + h, :, pw:pw + wd] = a.transpose(2, 0, 3, 1)
+    view = sliding_window_view(xp, kw, axis=2).transpose(0, 1, 2, 4, 3)
+    return np.ascontiguousarray(view).reshape(view.shape[:3] + (kw * c,))
 
 
-def _tap(strip: np.ndarray, u: int, sh: int, oh: int) -> np.ndarray:
-    """The strip rows frequency tap ``u`` reads, as one (oh*B*ow, kw*C)
-    matrix: a view when ``sh`` is 1."""
-    return strip[u:u + sh * (oh - 1) + 1:sh].reshape(-1, strip.shape[2])
-
-
-def _correlate(strip: np.ndarray, wk: np.ndarray, sh: int, oh: int) -> np.ndarray:
-    """Cross-correlation as one GEMM per frequency tap.
-
-    ``strip`` comes from ``_strip``; ``wk`` holds one (kw*C, c_out) matrix
-    per frequency tap, rows in strip order. Returns the (oh*B*ow, c_out)
-    output grid, frequency-major.
-    """
-    grid = np.empty((oh * strip.shape[1], wk.shape[2]))
-    np.matmul(_tap(strip, 0, sh, oh), wk[0], out=grid)
-    for u in range(1, len(wk)):
-        grid += _tap(strip, u, sh, oh) @ wk[u]
-    return grid
-
-
-def _dilation(offset: int, stride: int, n: int, size: int) -> tuple[slice, slice]:
-    """Where ``n`` gradient rows go in a zero-dilated buffer of ``size``
-    rows: row ``i`` lands at ``offset + i*stride``. Rows that land outside
-    belong to windows that read padding only. Returns (buffer, gradient)
-    slices."""
-    lo = max(0, -(offset // stride))
-    hi = min(n, (size - 1 - offset) // stride + 1)
-    if hi <= lo:
-        return slice(0, 0), slice(0, 0)
-    return slice(offset + lo * stride, offset + (hi - 1) * stride + 1, stride), slice(lo, hi)
+def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Stride-1 cross-correlation of a (B, C, H, W) array with a
+    (c_out, C, kh, kw) kernel at zero padding (ph, pw), as one GEMM per
+    frequency tap over the strip (``_strip``) into a frequency-major
+    (oh*B*ow, c_out) grid. Returns it copied to (B, c_out, oh, ow)."""
+    cout, cin, kh, kw = w.shape
+    s = _strip(a, ph, pw, kw)
+    oh, bsz, ow = len(s) - kh + 1, s.shape[1], s.shape[2]
+    wk = w.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
+    grid = np.empty((oh * bsz * ow, cout))
+    np.matmul(s[:oh].reshape(-1, kw * cin), wk[0], out=grid)
+    for u in range(1, kh):
+        grid += s[u:u + oh].reshape(-1, kw * cin) @ wk[u]
+    del s   # the strip, the largest temporary, goes before the output copy
+    return np.ascontiguousarray(grid.reshape(oh, bsz, ow, cout).transpose(1, 3, 0, 2))
 
 
 def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
            padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """Batched 2-D cross-correlation.
+    """Batched 2-D cross-correlation at stride 1 (``stride`` must be (1, 1)).
 
-    ``x`` has shape (batch, c_in, H, W), ``w`` has shape
-    (c_out, c_in, kh, kw). Output spatial size per axis is
-    ``(extent + 2*pad - k) // stride + 1``.
+    ``x`` has shape (batch, c_in, H, W), ``w`` has shape (c_out, c_in, kh,
+    kw). The zero padding per axis is 0 to ``k - 1``, so every window reads
+    input; the output extent per axis is ``extent + 2*pad - k + 1``.
 
-    Shifted GEMMs, with no im2col matrix. The input is padded into a
-    channels-last, frequency-major copy (H', B, W', C). A transient strip
-    (``_strip``) puts the kw time taps of each output column side by side,
-    so only output columns get a row, and one GEMM per frequency tap adds
-    into the (oh*B*ow, c_out) output grid (``_correlate``). The backward
-    closure keeps no array. The weight gradient pads ``x`` again and
-    rebuilds the strip. The input gradient is one more correlation: the
-    output gradient, zero-dilated by the stride and padded by
-    ``k - 1 - pad``, with the kernel flipped in both spatial axes and its
-    channel axes swapped. Trailing input rows or columns that no window
-    reads get a zero gradient.
+    One GEMM per frequency tap, with no im2col matrix (``_correlate``). The
+    backward closure keeps no array: the weight gradient rebuilds the strip
+    from ``x``, and the input gradient is ``_correlate`` run on the output
+    gradient with the kernel flipped in both spatial axes, its channel axes
+    swapped and padding ``k - 1 - pad``.
     """
-    sh, sw = stride
     ph, pw = padding
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
-    bsz, cin, h, wd = x.data.shape
+    _, cin, h, wd = x.data.shape
     cout, cin_w, kh, kw = w.data.shape
     if cin != cin_w:
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {cin_w}")
+    if tuple(stride) != (1, 1) or not (0 <= ph < kh and 0 <= pw < kw):
+        raise ValueError(f"conv2d needs stride (1, 1) and padding in [0, k - 1], got "
+                         f"stride {stride} and padding {padding} for a {kh}x{kw} kernel")
     if h + 2 * ph < kh or wd + 2 * pw < kw:
         raise ValueError("conv2d: padded input smaller than kernel")
-    if sh < 1 or sw < 1:
-        raise ValueError("conv2d: stride must be >= 1")
 
-    hp, wp = h + 2 * ph, wd + 2 * pw
-    oh = (hp - kh) // sh + 1
-    ow = (wp - kw) // sw + 1
-
-    def strip():   # rebuilt from x.data rather than kept for the backward
-        xp = np.zeros((hp, bsz, wp, cin))
-        xp[ph:ph + h, :, pw:pw + wd] = x.data.transpose(2, 0, 3, 1)
-        return _strip(xp, ow, kw, sw)
-
-    grid = _correlate(strip(), w.data.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout), sh, oh)
-    out = Tensor._result(grid.reshape(oh, bsz, ow, cout).transpose(1, 3, 0, 2), (x, w))
+    out = Tensor._result(_correlate(x.data, w.data, ph, pw), (x, w))
     if out.requires_grad:
-        def input_grad():
-            # trailing input rows and columns past eh, ew are read by no window
-            eh = h - max(0, (hp - kh) % sh - ph)
-            ew = wd - max(0, (wp - kw) % sw - pw)
-            if eh <= 0 or ew <= 0:
-                return np.zeros(x.data.shape)
-            gp = np.zeros((eh + kh - 1, bsz, ew + kw - 1, cout))
-            fd, fg = _dilation(kh - 1 - ph, sh, oh, eh + kh - 1)
-            td, tg = _dilation(kw - 1 - pw, sw, ow, ew + kw - 1)
-            gp[fd, :, td] = out.grad[:, :, fg, tg].transpose(2, 0, 3, 1)
-            s = _strip(gp, ew, kw, 1)
-            del gp
-            wf = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh, kw * cout, cin)
-            grid = _correlate(s, wf, 1, eh)
-            del s
-            gx = np.empty(x.data.shape) if (eh, ew) == (h, wd) else np.zeros(x.data.shape)
-            gx[:, :, :eh, :ew] = grid.reshape(eh, bsz, ew, cin).transpose(1, 3, 0, 2)
-            return gx
-
         def bw():
             if w.requires_grad:
+                oh = h + 2 * ph - kh + 1
                 g = np.ascontiguousarray(out.grad.transpose(2, 0, 3, 1)).reshape(-1, cout)
-                s = strip()
-                gw = np.stack([_tap(s, u, sh, oh).T @ g for u in range(kh)])
+                s = _strip(x.data, ph, pw, kw)
+                gw = np.stack([s[u:u + oh].reshape(-1, kw * cin).T @ g for u in range(kh)])
                 del s, g
                 w._accum(gw.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
             if x.requires_grad:
-                x._accum(input_grad(), owned=True)
+                wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                x._accum(_correlate(out.grad, wf, kh - 1 - ph, kw - 1 - pw), owned=True)
 
         out._backward = bw
     return out

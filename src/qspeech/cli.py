@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _int_from(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def _load_cfg(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
@@ -234,7 +245,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--config", metavar="PATH", help="config file")
     sp.add_argument("--manifest", metavar="PATH", required=True)
     sp.add_argument("--checkpoint", metavar="PATH")
-    sp.add_argument("--seed", type=int, metavar="N")
+    sp.add_argument("--seed", type=_int_from(0), metavar="N")
     sp.add_argument("--out", metavar="DIR", required=True)
     sp.add_argument("--dev-manifest", metavar="PATH")
     sp.add_argument("--epochs", type=int, metavar="N")
@@ -250,18 +261,18 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("decode", help="write greedy transcripts")
     sp.add_argument("--manifest", metavar="PATH", required=True)
-    sp.add_argument("--out", metavar="DIR")
+    sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--checkpoint", metavar="PATH", required=True)
     sp.set_defaults(fn=cmd_decode)
 
     sp = sub.add_parser("inspect", help="print the layer table and parameter counts")
     sp.add_argument("--config", metavar="PATH", help="config file")
-    sp.add_argument("--n-symbols", type=int, default=61, metavar="N",
+    sp.add_argument("--n-symbols", type=_int_from(1), default=61, metavar="N",
                     help="symbol count when the config does not declare them")
     sp.set_defaults(fn=cmd_inspect)
 
     sp = sub.add_parser("selftest", help="run the built-in oracle checks")
-    sp.add_argument("--seed", type=int, metavar="N")
+    sp.add_argument("--seed", type=_int_from(0), metavar="N")
     sp.set_defaults(fn=cmd_selftest)
     return p
 

@@ -11,11 +11,12 @@ checkpoints so mismatched resumes are rejected.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, check_config
 from .features import FeatureConfig
 
 __all__ = ["ModelConfig", "TrainConfig", "RunConfig", "parse_config",
@@ -42,32 +43,19 @@ class ModelConfig:
     prelu_init: float = 0.25
 
     def validate(self) -> None:
-        if self.n_conv_layers < 1:
-            raise ConfigError(f"model.n_conv_layers: must be >= 1, got {self.n_conv_layers}")
-        if self.conv_channels < 1:
-            raise ConfigError(f"model.conv_channels: must be >= 1, got {self.conv_channels}")
-        if self.kernel_freq < 1 or self.kernel_freq % 2 == 0:
-            raise ConfigError(f"model.kernel_freq: must be odd and >= 1, got {self.kernel_freq}")
-        if self.kernel_time < 1 or self.kernel_time % 2 == 0:
-            raise ConfigError(f"model.kernel_time: must be odd and >= 1, got {self.kernel_time}")
-        if self.pool_width < 1:
-            raise ConfigError(f"model.pool_width: must be >= 1, got {self.pool_width}")
-        if self.pool_width > self.in_freq:
-            raise ConfigError(f"model.pool_width: {self.pool_width} exceeds in_freq "
-                              f"{self.in_freq}")
-        if self.n_dense_layers < 1:
-            raise ConfigError(f"model.n_dense_layers: must be >= 1, got {self.n_dense_layers}")
-        if self.dense_width < 1:
-            raise ConfigError(f"model.dense_width: must be >= 1, got {self.dense_width}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"model.dropout: must be in [0, 1), got {self.dropout}")
-        if self.l2 < 0.0:
-            raise ConfigError(f"model.l2: must be >= 0, got {self.l2}")
-        if self.in_channels < 1:
-            raise ConfigError(f"model.in_channels: must be >= 1, got {self.in_channels}")
-        if self.in_freq < self.kernel_freq:
-            raise ConfigError(f"model.in_freq: {self.in_freq} smaller than kernel_freq "
-                              f"{self.kernel_freq}")
+        check_config("model", self, (
+            ("n_conv_layers", self.n_conv_layers >= 1, ">= 1"),
+            ("conv_channels", self.conv_channels >= 1, ">= 1"),
+            ("kernel_freq", self.kernel_freq >= 1 and self.kernel_freq % 2, "odd and >= 1"),
+            ("kernel_time", self.kernel_time >= 1 and self.kernel_time % 2, "odd and >= 1"),
+            ("pool_width", 1 <= self.pool_width <= self.in_freq,
+             f"in [1, in_freq = {self.in_freq}]"),
+            ("n_dense_layers", self.n_dense_layers >= 1, ">= 1"),
+            ("dense_width", self.dense_width >= 1, ">= 1"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("l2", self.l2 >= 0.0, ">= 0"),
+            ("in_channels", self.in_channels >= 1, ">= 1"),
+            ("in_freq", self.in_freq >= self.kernel_freq, f">= kernel_freq {self.kernel_freq}")))
         symbols = self.symbol_list()
         for s in symbols:
             if s.startswith("#"):
@@ -95,13 +83,12 @@ class TrainConfig:
     early_stop_metric: str = "per"    # "per" or "loss"
 
     def validate(self) -> None:
-        if self.epochs < 0 or self.fine_tune_epochs < 0:
-            raise ConfigError("train.epochs/fine_tune_epochs: must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError(f"train.batch_size: must be >= 1, got {self.batch_size}")
-        if self.early_stop_metric not in ("per", "loss"):
-            raise ConfigError(f"train.early_stop_metric: expected 'per' or 'loss', "
-                              f"got {self.early_stop_metric!r}")
+        check_config("train", self, (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("fine_tune_epochs", self.fine_tune_epochs >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("early_stop_metric", self.early_stop_metric in ("per", "loss"), "'per' or 'loss'")))
 
 
 @dataclass(frozen=True)
@@ -113,6 +100,7 @@ class RunConfig:
     def validate(self) -> None:
         self.model.validate()
         self.train.validate()
+        self.features.validate()
 
 
 _COMMENT = re.compile(r"(?:^|\s)#.*")
@@ -131,6 +119,8 @@ def _parse_value(raw: str, typ, key: str):
         if typ is int:
             return int(raw)
         if typ is float:
+            if not math.isfinite(float(raw)):
+                raise ConfigError(f"{key}: must be finite, got {raw!r}")
             return float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected {typ.__name__}, got {raw!r}") from None

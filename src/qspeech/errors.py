@@ -13,6 +13,13 @@ class ConfigError(DataError):
     """Invalid configuration value; message names the offending key."""
 
 
+def check_config(section: str, cfg, rules) -> None:
+    """Raise ``ConfigError`` for the first ``(key, ok, need)`` rule whose ``ok`` is false."""
+    for key, ok, need in rules:
+        if not ok:
+            raise ConfigError(f"{section}.{key}: must be {need}, got {getattr(cfg, key)!r}")
+
+
 class NumericalError(Exception):
     """Non-finite values where finite ones are required (e.g. gradients)."""
 

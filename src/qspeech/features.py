@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_config
 
 __all__ = [
     "FeatureConfig",
@@ -60,6 +60,17 @@ class FeatureConfig:
     @property
     def hop_length(self) -> int:
         return int(round(self.sample_rate * self.hop_ms / 1000.0))
+
+    def validate(self) -> None:
+        check_config("features", self, (
+            ("sample_rate", self.sample_rate >= 1, ">= 1"),
+            ("window_ms", self.window_length >= 1, "at least one sample long"),
+            ("hop_ms", self.hop_length >= 1, "at least one sample long"),
+            ("n_mels", self.n_mels >= 1, ">= 1"),
+            ("fft_size", self.fft_size >= self.window_length,
+             f">= the window length, {self.window_length} samples"),
+            ("delta_window", self.delta_window >= 1, ">= 1"),
+            ("log_floor", self.log_floor > 0.0, "> 0")))
 
 
 @dataclass

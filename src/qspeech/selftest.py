@@ -62,7 +62,7 @@ def _hamilton(q: QTensor, w: QTensor, bias: QTensor | None, op) -> QTensor:
 def hamilton_conv2d(q: QTensor, w: QTensor, bias: QTensor | None,
                     padding: tuple[int, int]) -> QTensor:
     """Quaternion convolution (stride 1) as 16 real convolutions plus bias."""
-    return _hamilton(q, w, bias, lambda t, k: conv2d(t, k, (1, 1), padding))
+    return _hamilton(q, w, bias, lambda t, k: conv2d(t, k, padding=padding))
 
 
 def hamilton_dense(q: QTensor, w: QTensor, bias: QTensor | None) -> QTensor:
@@ -92,7 +92,7 @@ def _check_layer_equivalence(rng: np.random.Generator, n: int = 20) -> tuple[boo
         (got, got_grads), (ref, ref_grads) = routes
         block = block_weight_matrix([p.data for p in layer.w.components])
         stacked = Tensor(np.concatenate([p.data for p in q.components], axis=1))
-        real = conv2d(stacked, Tensor(block), (1, 1), layer.padding).data
+        real = conv2d(stacked, Tensor(block), padding=layer.padding).data
         real = real + np.concatenate([p.data for p in layer.bias.components])[None]
         block_ref = real.reshape(2, 4, out_q, 6, 5).transpose(1, 0, 2, 3, 4)
         worst = max(worst, float(np.abs(got - ref).max()),

@@ -330,3 +330,42 @@ def test_features_wider_than_checkpoint_model_exit_two(narrow_checkpoint, corpus
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: utterance 'tone") and "model.in_freq = 38" in err
+
+
+@pytest.mark.parametrize("line,key", [("hop_ms = 0", "hop_ms"), ("window_ms = 0", "window_ms"),
+                                      ("delta_window = 0", "delta_window"),
+                                      ("fft_size = 64", "fft_size"), ("n_mels = 0", "n_mels"),
+                                      ("sample_rate = 0", "sample_rate"),
+                                      ("log_floor = 0", "log_floor")])
+def test_extract_bad_feature_config_exits_two(corpus, tmp_path, capsys, line, key):
+    cfg = tmp_path / "features.cfg"
+    cfg.write_text(f"features.{line}\n", encoding="utf-8")
+    out = tmp_path / "feats"
+    assert main(["extract", "--config", str(cfg), "--manifest", str(corpus),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: features.{key}: must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "inspect"])
+def test_negative_config_seed_exits_two(corpus, tiny_config, tmp_path, capsys, command):
+    cfg = _config_with(tiny_config, tmp_path, "train.seed = -1\n")
+    args = ["--manifest", str(corpus), "--out", str(tmp_path / "o")] if command == "train" else []
+    assert main([command, "--config", str(cfg), *args]) == 2
+    assert "train.seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--manifest", "m.tsv", "--out", "o", "--seed", "-1"], "--seed: must be >= 0"),
+    (["selftest", "--seed", "-1"], "--seed: must be >= 0"),
+    (["inspect", "--n-symbols", "-3"], "--n-symbols: must be >= 1"),
+    (["inspect", "--n-symbols", "0"], "--n-symbols: must be >= 1"),
+    (["selftest", "--seed", "x"], "--seed: invalid int value: 'x'"),
+], ids=["train-seed", "selftest-seed", "inspect-n-symbols", "inspect-zero-symbols",
+        "selftest-seed-not-int"])
+def test_out_of_range_integer_option_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and message in err and "Traceback" not in err

@@ -59,6 +59,9 @@ def test_missing_section_prefix():
     ("model.pool_width = 99", "pool_width"),
     ("train.batch_size = 0", "batch_size"),
     ("train.early_stop_metric = wer", "early_stop_metric"),
+    ("train.seed = -1", "seed"),
+    ("features.hop_ms = inf", "hop_ms"),
+    ("features.window_ms = nan", "window_ms"),
 ])
 def test_validation_names_field(line, field):
     with pytest.raises(ConfigError, match=field):
