@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Time one paper-config convolution, forward and backward.
 
-Runs a 128 -> 128 channel ``autodiff.conv2d`` with a 3x5 kernel and 'same'
-padding (1, 2) at two input shapes, (4, 128, 13, 30) and (8, 128, 13, 300),
-``--reps`` times each, and prints the median milliseconds of the forward
-and of the backward per shape. The backward is the conv node's own closure
-(input and weight gradient) run on a fixed output gradient, so no other op
-is timed.
+Runs ``autodiff.conv2d`` with a 3x5 kernel and 'same' padding (1, 2) at
+three shapes, ``--reps`` times each, and prints the median milliseconds of
+the forward and of the backward per shape: 128 -> 128 channels at
+(4, 128, 13, 30) and (8, 128, 13, 300), and the paper model's first conv,
+4 -> 128 channels at (8, 4, 41, 300). The backward is the conv node's own
+closure run on a fixed output gradient, so no other op is timed. It
+computes the input and the weight gradient, except at the first conv,
+whose input needs no gradient, as in the model.
 
 Usage: python3 scripts/conv_time.py [--reps N]
 """
@@ -20,7 +22,9 @@ import numpy as np
 
 from qspeech.autodiff import Tensor, conv2d
 
-SHAPES = [(4, 128, 13, 30), (8, 128, 13, 300)]
+# (input shape, output channels, whether the input needs a gradient)
+CASES = [((4, 128, 13, 30), 128, True), ((8, 128, 13, 300), 128, True),
+         ((8, 4, 41, 300), 128, False)]
 
 
 def main() -> int:
@@ -31,10 +35,10 @@ def main() -> int:
         ap.error(f"--reps must be >= 1, got {args.reps}")
 
     rng = np.random.default_rng(0)
-    w = Tensor(rng.normal(size=(128, 128, 3, 5)) / 25.0, requires_grad=True)
-    for shape in SHAPES:
-        x = Tensor(rng.normal(size=shape), requires_grad=True)
-        g = rng.normal(size=shape)
+    for shape, cout, input_grad in CASES:
+        w = Tensor(rng.normal(size=(cout, shape[1], 3, 5)) / 25.0, requires_grad=True)
+        x = Tensor(rng.normal(size=shape), requires_grad=input_grad)
+        g = rng.normal(size=(shape[0], cout) + shape[2:])
         fwd, bwd = [], []
         for _ in range(args.reps):
             t0 = time.perf_counter()
@@ -47,7 +51,7 @@ def main() -> int:
             fwd.append(t1 - t0)
             bwd.append(t3 - t2)
             del out
-        print(f"{shape}: forward {1e3 * median(fwd):.1f} ms  backward "
+        print(f"{shape} -> {cout}: forward {1e3 * median(fwd):.1f} ms  backward "
               f"{1e3 * median(bwd):.1f} ms  (median of {args.reps})")
     return 0
 

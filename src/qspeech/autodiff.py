@@ -22,13 +22,13 @@ array arithmetic; the differentiation rules live here.
 
 Each op keeps only what its backward reads. ``conv2d`` computes stride-1
 cross-correlation (no kernel flip) with zero padding of at most ``k - 1``,
-the usual deep-learning convention. One routine, ``_correlate``, runs it as
-one GEMM per frequency tap on a strip of the padded channels-last input
-that has a row for each output column only, with no im2col matrix; the
-input gradient is that routine run on the output gradient with the flipped
-kernel. The backward closure keeps no array at all: the weight gradient
-rebuilds the strip from the input, which the graph holds anyway as the
-node's parent. ``prelu`` likewise keeps only its input and slopes and
+the usual deep-learning convention. One routine, ``_correlate``, runs all
+three of its passes as one GEMM per frequency tap on a strip of a padded
+channels-last copy, with no im2col matrix: the forward on the input, the
+input gradient on the output gradient with the flipped kernel, and the
+weight gradient on the input with the output gradient as its kernel. So
+the backward closure keeps no array; the graph holds the input anyway, as
+the node's parent. ``prelu`` likewise keeps only its input and slopes and
 rebuilds its gain in the backward.
 Products skip the gradient of an operand that does not require one (a
 dropout mask, say).
@@ -281,33 +281,28 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     return out
 
 
-def _strip(a: np.ndarray, ph: int, pw: int, kw: int) -> np.ndarray:
-    """Time-tap matrix of a (B, C, H, W) array ``a`` zero-padded by (ph, pw):
-    row ``(f, b, j)`` of the (H + 2*ph, B, ow, kw*C) result holds the kw
-    time taps of output column ``j`` of utterance ``b`` at padded frequency
-    row ``f`` side by side. The padded channels-last copy is freed on return."""
-    b, c, h, wd = a.shape
-    xp = np.zeros((h + 2 * ph, b, wd + 2 * pw, c))
-    xp[ph:ph + h, :, pw:pw + wd] = a.transpose(2, 0, 3, 1)
-    view = sliding_window_view(xp, kw, axis=2).transpose(0, 1, 2, 4, 3)
-    return np.ascontiguousarray(view).reshape(view.shape[:3] + (kw * c,))
-
-
 def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """Stride-1 cross-correlation of a (B, C, H, W) array with a
-    (c_out, C, kh, kw) kernel at zero padding (ph, pw), as one GEMM per
-    frequency tap over the strip (``_strip``) into a frequency-major
-    (oh*B*ow, c_out) grid. Returns it copied to (B, c_out, oh, ow)."""
+    (c_out, C, kh, kw) kernel at zero padding (ph, pw), as (B, c_out, oh, ow):
+    one GEMM per frequency tap over a strip whose row ``(f, b, j)`` holds the
+    kw time taps of output column ``j`` of utterance ``b`` at padded
+    frequency row ``f`` (no im2col matrix), into a frequency-major grid."""
     cout, cin, kh, kw = w.shape
-    s = _strip(a, ph, pw, kw)
-    oh, bsz, ow = len(s) - kh + 1, s.shape[1], s.shape[2]
+    b, _, h, wd = a.shape
+    xp = np.zeros((h + 2 * ph, b, wd + 2 * pw, cin))   # padded, channels-last
+    xp[ph:ph + h, :, pw:pw + wd] = a.transpose(2, 0, 3, 1)
+    view = sliding_window_view(xp, kw, axis=2).transpose(0, 1, 2, 4, 3)
+    s = np.ascontiguousarray(view).reshape(view.shape[:3] + (kw * cin,))
+    del xp, view
+    oh, ow = len(s) - kh + 1, s.shape[2]
     wk = w.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
-    grid = np.empty((oh * bsz * ow, cout))
-    np.matmul(s[:oh].reshape(-1, kw * cin), wk[0], out=grid)
+    grid = np.empty((oh * b * ow, cout))
+    # explicit row count: kw * cin is 0 in the weight gradient of an empty batch
+    np.matmul(s[:oh].reshape(len(grid), kw * cin), wk[0], out=grid)
     for u in range(1, kh):
-        grid += s[u:u + oh].reshape(-1, kw * cin) @ wk[u]
+        grid += s[u:u + oh].reshape(len(grid), kw * cin) @ wk[u]
     del s   # the strip, the largest temporary, goes before the output copy
-    return np.ascontiguousarray(grid.reshape(oh, bsz, ow, cout).transpose(1, 3, 0, 2))
+    return np.ascontiguousarray(grid.reshape(oh, b, ow, cout).transpose(1, 3, 0, 2))
 
 
 def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
@@ -318,17 +313,17 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     kw). The zero padding per axis is 0 to ``k - 1``, so every window reads
     input; the output extent per axis is ``extent + 2*pad - k + 1``.
 
-    One GEMM per frequency tap, with no im2col matrix (``_correlate``). The
-    backward closure keeps no array: the weight gradient rebuilds the strip
-    from ``x``, and the input gradient is ``_correlate`` run on the output
-    gradient with the kernel flipped in both spatial axes, its channel axes
-    swapped and padding ``k - 1 - pad``.
+    All three passes run ``_correlate``. The input gradient correlates the
+    output gradient with the kernel flipped in both spatial axes, its
+    channel axes swapped, at padding ``k - 1 - pad``; the weight gradient
+    correlates ``x`` with the output gradient, batch and channel axes
+    swapped in both, at padding ``pad``. The closure keeps no array.
     """
     ph, pw = padding
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
     _, cin, h, wd = x.data.shape
-    cout, cin_w, kh, kw = w.data.shape
+    _, cin_w, kh, kw = w.data.shape
     if cin != cin_w:
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {cin_w}")
     if tuple(stride) != (1, 1) or not (0 <= ph < kh and 0 <= pw < kw):
@@ -341,12 +336,9 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     if out.requires_grad:
         def bw():
             if w.requires_grad:
-                oh = h + 2 * ph - kh + 1
-                g = np.ascontiguousarray(out.grad.transpose(2, 0, 3, 1)).reshape(-1, cout)
-                s = _strip(x.data, ph, pw, kw)
-                gw = np.stack([s[u:u + oh].reshape(-1, kw * cin).T @ g for u in range(kh)])
-                del s, g
-                w._accum(gw.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
+                gw = _correlate(x.data.transpose(1, 0, 2, 3), out.grad.transpose(1, 0, 2, 3),
+                                ph, pw)
+                w._accum(gw.transpose(1, 0, 2, 3))
             if x.requires_grad:
                 wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                 x._accum(_correlate(out.grad, wf, kh - 1 - ph, kw - 1 - pw), owned=True)

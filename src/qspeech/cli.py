@@ -20,7 +20,7 @@ import numpy as np
 from .config import ModelConfig, RunConfig, config_hash, load_config, parse_config
 from .ctc import SymbolTable
 from .data import Utterance, load_dataset, derive_symbol_table, read_manifest
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .features import extract, read_wav, save_features
 from .metrics import load_phone_map
 from .model import build_model, build_real_model, count_params
@@ -145,6 +145,9 @@ def cmd_train(args) -> int:
         overrides["fine_tune_epochs"] = args.fine_tune_epochs
     if overrides:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **overrides))
+    if not args.checkpoint and cfg.train.epochs + cfg.train.fine_tune_epochs == 0:
+        raise ConfigError("train.epochs + train.fine_tune_epochs = 0: a fresh run has "
+                          "nothing to train (only a --checkpoint resume may run no epoch)")
 
     train_set = load_dataset(args.manifest, cfg.features)
     if args.dev_manifest:
@@ -238,7 +241,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--config", metavar="PATH", help="config file")
     sp.add_argument("--manifest", metavar="PATH", required=True)
     sp.add_argument("--out", metavar="DIR", required=True)
-    sp.add_argument("--workers", type=int, default=1, metavar="N")
+    sp.add_argument("--workers", type=_int_from(1), default=1, metavar="N")
     sp.set_defaults(fn=cmd_extract)
 
     sp = sub.add_parser("train", help="train a model")
@@ -248,8 +251,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=_int_from(0), metavar="N")
     sp.add_argument("--out", metavar="DIR", required=True)
     sp.add_argument("--dev-manifest", metavar="PATH")
-    sp.add_argument("--epochs", type=int, metavar="N")
-    sp.add_argument("--fine-tune-epochs", type=int, metavar="N")
+    sp.add_argument("--epochs", type=_int_from(0), metavar="N")
+    sp.add_argument("--fine-tune-epochs", type=_int_from(0), metavar="N")
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="score a manifest with a checkpoint")

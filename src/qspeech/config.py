@@ -86,6 +86,11 @@ class TrainConfig:
         check_config("train", self, (
             ("epochs", self.epochs >= 0, ">= 0"),
             ("fine_tune_epochs", self.fine_tune_epochs >= 0, ">= 0"),
+            ("adam_lr", self.adam_lr >= 0.0, ">= 0"),
+            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+            ("adam_eps", self.adam_eps > 0.0, "> 0"),
+            ("sgd_lr", self.sgd_lr >= 0.0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
             ("early_stop_metric", self.early_stop_metric in ("per", "loss"), "'per' or 'loss'")))

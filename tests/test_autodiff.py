@@ -6,6 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qspeech.autodiff import (Tensor, backward, concat, conv2d, graph_nbytes, linear,
                               maxpool1d, no_grad, prelu, zero_grads)
@@ -111,6 +112,24 @@ def test_conv2d_gradient_3x5_same_padding():
     w = Tensor(rng.normal(size=(3, 2, 3, 5)), requires_grad=True)
     fn = lambda: (conv2d(x, w, (1, 1), (1, 2)) * conv2d(x, w, (1, 1), (1, 2))).sum()
     assert check_gradients(fn, [x, w]) < 1e-5
+
+
+# The weight gradient's windows span the whole output, so check it against an
+# einsum over every kh x kw shift of the padded input, not the GEMM routine.
+@pytest.mark.parametrize("shape,cout", [((3, 4, 41, 30), 5), ((1, 7, 13, 9), 3)])
+@pytest.mark.parametrize("padding", [(0, 0), (1, 2), (0, 4), (2, 4)])
+def test_conv2d_weight_gradient_matches_einsum(shape, cout, padding):
+    rng = np.random.default_rng([shape[1], cout, *padding])
+    x = Tensor(rng.normal(size=shape))
+    w = Tensor(rng.normal(size=(cout, shape[1], 3, 5)), requires_grad=True)
+    out = conv2d(x, w, padding=padding)
+    g = rng.normal(size=out.shape)
+    backward((out * Tensor(g)).sum())
+    ph, pw = padding
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, g.shape[2:], axis=(2, 3))   # (b, c, 3, 5, oh, ow)
+    expected = np.einsum("bcuvij,boij->ocuv", win, g)
+    assert np.allclose(w.grad, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_empty_batch():

@@ -169,6 +169,15 @@ def test_train_resume_from_checkpoint(corpus, tiny_config, trained_run, tmp_path
     assert code == 0  # schedule already complete; resumes and exits cleanly
 
 
+def test_train_with_no_epoch_to_run_exits_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    # the manifest does not exist: the check comes before any data is read
+    assert main(["train", "--manifest", str(tmp_path / "missing.tsv"), "--out", str(out),
+                 "--epochs", "0", "--fine-tune-epochs", "0"]) == 2
+    assert "train.epochs + train.fine_tune_epochs = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_bad_manifest_exits_two(tiny_config, tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("broken line without tabs\n", encoding="utf-8")
@@ -361,8 +370,15 @@ def test_negative_config_seed_exits_two(corpus, tiny_config, tmp_path, capsys, c
     (["inspect", "--n-symbols", "-3"], "--n-symbols: must be >= 1"),
     (["inspect", "--n-symbols", "0"], "--n-symbols: must be >= 1"),
     (["selftest", "--seed", "x"], "--seed: invalid int value: 'x'"),
+    (["train", "--manifest", "m.tsv", "--out", "o", "--epochs", "-1"], "--epochs: must be >= 0"),
+    (["train", "--manifest", "m.tsv", "--out", "o", "--fine-tune-epochs", "-2"],
+     "--fine-tune-epochs: must be >= 0"),
+    (["extract", "--manifest", "m.tsv", "--out", "o", "--workers", "0"], "--workers: must be >= 1"),
+    (["extract", "--manifest", "m.tsv", "--out", "o", "--workers", "-4"],
+     "--workers: must be >= 1"),
 ], ids=["train-seed", "selftest-seed", "inspect-n-symbols", "inspect-zero-symbols",
-        "selftest-seed-not-int"])
+        "selftest-seed-not-int", "train-epochs", "train-fine-tune-epochs", "extract-zero-workers",
+        "extract-negative-workers"])
 def test_out_of_range_integer_option_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as e:
         main(argv)

@@ -60,6 +60,11 @@ def test_missing_section_prefix():
     ("train.batch_size = 0", "batch_size"),
     ("train.early_stop_metric = wer", "early_stop_metric"),
     ("train.seed = -1", "seed"),
+    ("train.adam_lr = -1", "adam_lr"),
+    ("train.adam_eps = 0", "adam_eps"),
+    ("train.adam_beta1 = 1.0", "adam_beta1"),
+    ("train.adam_beta2 = -0.5", "adam_beta2"),
+    ("train.sgd_lr = -1e-3", "sgd_lr"),
     ("features.hop_ms = inf", "hop_ms"),
     ("features.window_ms = nan", "window_ms"),
 ])
