@@ -361,20 +361,20 @@ def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
     np_out = n // width
     if np_out < 1:
         raise ValueError(f"pool width {width} exceeds axis extent {n}")
+    axis %= x.data.ndim
 
-    moved = np.moveaxis(x.data, axis, -1)
-    lead = moved.shape[:-1]
-    xr = moved[..., :np_out * width].reshape(lead + (np_out, width))
-    out_m = xr.max(axis=-1)
-    out = Tensor._result(np.moveaxis(out_m, -1, axis), (x,))
+    # the pooled axis split in two, (windows, width), as a view
+    keep = (slice(None),) * axis + (slice(np_out * width),)
+    split = x.data.shape[:axis] + (np_out, width) + x.data.shape[axis + 1:]
+    xr = x.data[keep].reshape(split)
+    out = Tensor._result(xr.max(axis=axis + 1), (x,))
     if out.requires_grad:
-        idx = np.expand_dims(xr.argmax(axis=-1).astype(np.min_scalar_type(width - 1)), -1)
+        idx = np.expand_dims(xr.argmax(axis=axis + 1).astype(np.min_scalar_type(width - 1)),
+                             axis + 1)
         def bw():
-            g = np.moveaxis(out.grad, axis, -1)
-            buf = np.zeros(lead + (np_out, width))
-            np.put_along_axis(buf, idx, np.expand_dims(g, -1), axis=-1)
             gx = np.zeros(x.data.shape)
-            np.moveaxis(gx, axis, -1)[..., :np_out * width] = buf.reshape(lead + (np_out * width,))
+            np.put_along_axis(gx[keep].reshape(split), idx,
+                              np.expand_dims(out.grad, axis + 1), axis=axis + 1)
             x._accum(gx, owned=True)
         out._backward = bw
     return out

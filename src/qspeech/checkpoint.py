@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_file
 
 __all__ = ["save_checkpoint", "link_checkpoint", "load_checkpoint"]
 
@@ -100,10 +100,7 @@ def load_checkpoint(path: str | Path) -> dict:
     """Read and verify a checkpoint; returns header fields plus ``params``
     and ``opt_buffers`` dicts of float64 arrays. A header without
     ``best_epoch`` (written before it was stored) gives -1."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"{path}: cannot read checkpoint ({e})") from None
+    raw = read_file(path, "checkpoint", binary=True)
     if raw[:len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: bad magic, not a checkpoint")
     if len(raw) < len(MAGIC) + 4 + 32 + 4:     # version, digest, header length

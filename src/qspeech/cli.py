@@ -20,9 +20,9 @@ import numpy as np
 from .config import ModelConfig, RunConfig, config_hash, load_config, parse_config
 from .ctc import SymbolTable
 from .data import Utterance, load_dataset, derive_symbol_table, read_manifest
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, write_file
 from .features import extract, read_wav, save_features
-from .metrics import load_phone_map
+from .metrics import apply_phone_map, load_phone_map
 from .model import build_model, build_real_model, count_params
 from .selftest import run_selftest
 from .trainer import Trainer, decode_dataset, evaluate_per, restore_parameters
@@ -64,9 +64,7 @@ def _resolve_phone_map(arg: str | None):
             return load_phone_map(p)
     try:
         return load_phone_map(arg)
-    except OSError as e:
-        raise DataError(f"{arg}: cannot read phone map ({e})") from None
-    except ValueError as e:      # a malformed line, or bytes that are not UTF-8
+    except ValueError as e:      # a malformed line
         raise DataError(str(e)) from None
 
 
@@ -103,14 +101,10 @@ def cmd_extract(args) -> int:
     else:
         done = dict(_extract_one(job) for job in jobs)
     manifest_path = out_dir / "manifest.tsv"
-    try:
-        with open(manifest_path, "w", encoding="utf-8") as f:
-            for utt_id, _, labels in entries:
-                # read_manifest resolves relative entries against the manifest's directory
-                rel = Path(done[utt_id]).relative_to(out_dir)
-                f.write(f"{utt_id}\t{rel}\t{' '.join(labels)}\n")
-    except OSError as e:
-        raise DataError(f"{manifest_path}: cannot write manifest ({e.strerror})") from None
+    # read_manifest resolves relative entries against the manifest's directory
+    write_file(manifest_path, "".join(
+        f"{utt_id}\t{Path(done[utt_id]).relative_to(out_dir)}\t{' '.join(labels)}\n"
+        for utt_id, _, labels in entries), "manifest")
     print(f"wrote {len(entries)} feature files and {manifest_path}")
     return 0
 
@@ -184,6 +178,9 @@ def cmd_eval(args) -> int:
     utts = load_dataset(args.manifest, cfg.features)
     _check_inputs(utts, cfg.model)
     phone_map = _resolve_phone_map(args.phone_map)
+    if phone_map is not None and not any(apply_phone_map(u.labels, phone_map) for u in utts):
+        raise DataError(f"{args.phone_map}: phone map deletes every reference label, "
+                        f"so PER is undefined")
     value = evaluate_per(model, utts, table, phone_map=phone_map)
     print(f"per={value:.3f} utterances={len(utts)}")
     return 0
@@ -197,10 +194,7 @@ def cmd_decode(args) -> int:
     lines = [f"{u.utt_id}\t{' '.join(hyps[u.utt_id])}" for u in utts]
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as e:
-            raise DataError(f"{args.out}: cannot write transcripts ({e.strerror})") from None
+        write_file(args.out, text, "transcripts")
         print(f"wrote {len(lines)} transcripts to {args.out}")
     else:
         sys.stdout.write(text)

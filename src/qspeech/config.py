@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError, check_config
+from .errors import ConfigError, check_config, read_file
 from .features import FeatureConfig
 
 __all__ = ["ModelConfig", "TrainConfig", "RunConfig", "parse_config",
@@ -163,11 +163,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"{path}: cannot read config ({e})") from None
-    return parse_config(text)
+    return parse_config(read_file(path, "config"))
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .ctc import SymbolTable
-from .errors import DataError
+from .errors import DataError, read_file
 from .features import FeatureConfig, extract, load_features, read_wav
 from .qlayers import QTensor
 
@@ -54,31 +54,25 @@ class Batch:
 def read_manifest(path: str | Path) -> list[tuple[str, str, list[str]]]:
     entries, first_line = [], {}
     base = Path(path).parent
-    try:
-        f = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"{path}: cannot read manifest ({e})") from None
-    with f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, "
-                                f"got {len(parts)}")
-            utt_id, file_path, labels = parts
-            if utt_id in first_line:
-                raise DataError(f"{path}:{lineno}: utterance id {utt_id!r} already used "
-                                f"on line {first_line[utt_id]}")
-            first_line[utt_id] = lineno
-            labels_list = labels.split()
-            if not labels_list:
-                raise DataError(f"{path}:{lineno}: utterance {utt_id!r} has no labels")
-            p = Path(file_path)
-            if not p.is_absolute():
-                p = base / p
-            entries.append((utt_id, str(p), labels_list))
+    for lineno, line in enumerate(read_file(path, "manifest").split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, "
+                            f"got {len(parts)}")
+        utt_id, file_path, labels = parts
+        if utt_id in first_line:
+            raise DataError(f"{path}:{lineno}: utterance id {utt_id!r} already used "
+                            f"on line {first_line[utt_id]}")
+        first_line[utt_id] = lineno
+        labels_list = labels.split()
+        if not labels_list:
+            raise DataError(f"{path}:{lineno}: utterance {utt_id!r} has no labels")
+        p = Path(file_path)
+        if not p.is_absolute():
+            p = base / p
+        entries.append((utt_id, str(p), labels_list))
     if not entries:
         raise DataError(f"{path}: empty manifest")
     return entries

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, check_config
+from .errors import DataError, check_config, read_file, write_file
 
 __all__ = [
     "FeatureConfig",
@@ -208,38 +208,27 @@ def extract(waveform: np.ndarray, cfg: FeatureConfig) -> FeatureSequence:
 def save_features(path: str | Path, fs: FeatureSequence) -> None:
     """Write magic, version, frame count, width, then the three streams
     as row-major little-endian float32."""
-    try:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<III", VERSION, fs.n_frames, fs.width))
-            for plane in (1, 2, 3):
-                f.write(np.ascontiguousarray(fs.data[plane], dtype="<f4").tobytes())
-    except OSError as e:    # a name too long for the file system, a full disk
-        raise DataError(f"{path}: cannot write feature file ({e.strerror})") from None
+    planes = np.ascontiguousarray(fs.data[1:], dtype="<f4").tobytes()
+    write_file(path, MAGIC + struct.pack("<III", VERSION, fs.n_frames, fs.width) + planes,
+               "feature file")
 
 
 def load_features(path: str | Path) -> FeatureSequence:
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"{path}: cannot read feature file ({e})") from None
-    with f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise DataError(f"{path}: bad magic, not a feature file")
-        header = f.read(12)
-        if len(header) != 12:
-            raise DataError(f"{path}: truncated feature file header")
-        version, n_frames, width = struct.unpack("<III", header)
-        if version != VERSION:
-            raise DataError(f"{path}: unsupported feature file version {version}")
-        count = width * n_frames
-        streams = []
-        for _ in range(3):
-            buf = f.read(4 * count)
-            if len(buf) != 4 * count:
-                raise DataError(f"{path}: truncated feature file")
-            streams.append(np.frombuffer(buf, dtype="<f4").reshape(width, n_frames))
-        if f.read(1):
-            raise DataError(f"{path}: trailing bytes after feature payload")
-    return pack_quaternions(*streams)
+    raw = read_file(path, "feature file", binary=True)
+    if raw[:len(MAGIC)] != MAGIC:
+        raise DataError(f"{path}: bad magic, not a feature file")
+    off = len(MAGIC) + 12
+    if len(raw) < off:
+        raise DataError(f"{path}: truncated feature file header")
+    version, n_frames, width = struct.unpack_from("<III", raw, len(MAGIC))
+    if version != VERSION:
+        raise DataError(f"{path}: unsupported feature file version {version}")
+    if n_frames == 0:
+        raise DataError(f"{path}: feature file holds no frames")
+    count = 3 * width * n_frames
+    if len(raw) < off + 4 * count:
+        raise DataError(f"{path}: truncated feature file")
+    if len(raw) > off + 4 * count:
+        raise DataError(f"{path}: trailing bytes after feature payload")
+    streams = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
+    return pack_quaternions(*streams.reshape(3, width, n_frames))

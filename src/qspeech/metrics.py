@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from .errors import read_file
+
 __all__ = ["edit_distance", "per", "apply_phone_map", "load_phone_map"]
 
 
@@ -47,16 +49,15 @@ def load_phone_map(path) -> dict[str, str | None]:
     ``src`` meaning deletion. Whole lines starting with '#' are comments
     (phones like 'h#' contain the character, so no inline comments)."""
     mapping: dict[str, str | None] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                mapping[parts[0]] = None
-            elif len(parts) == 2:
-                mapping[parts[0]] = parts[1]
-            else:
-                raise ValueError(f"{path}:{lineno}: expected 'src [dst]', got {line!r}")
+    for lineno, line in enumerate(read_file(path, "phone map").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) == 1:
+            mapping[parts[0]] = None
+        elif len(parts) == 2:
+            mapping[parts[0]] = parts[1]
+        else:
+            raise ValueError(f"{path}:{lineno}: expected 'src [dst]', got {line!r}")
     return mapping

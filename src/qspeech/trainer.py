@@ -99,19 +99,22 @@ class Trainer:
         instead of serialising it again, unless the file system refuses."""
         if same_as is not None and ckpt.link_checkpoint(same_as, path):
             return
-        ckpt.save_checkpoint(
-            path,
-            params=self._param_arrays(),
-            optimizer=optimizer.state(),
-            epoch=epoch,
-            phase=phase,
-            config_text=dump_config(self.cfg),
-            config_hash=config_hash(self.cfg),
-            symbols=list(self.table.symbols),
-            rng_state=self.rng.bit_generator.state,
-            best_metric=best_metric,
-            best_epoch=best_epoch,
-        )
+        try:
+            ckpt.save_checkpoint(
+                path,
+                params=self._param_arrays(),
+                optimizer=optimizer.state(),
+                epoch=epoch,
+                phase=phase,
+                config_text=dump_config(self.cfg),
+                config_hash=config_hash(self.cfg),
+                symbols=list(self.table.symbols),
+                rng_state=self.rng.bit_generator.state,
+                best_metric=best_metric,
+                best_epoch=best_epoch,
+            )
+        except OSError as e:     # an unwritable directory, a full disk
+            raise DataError(f"{path}: cannot write checkpoint ({e.strerror})") from None
 
     def resume(self, path: str | Path) -> None:
         state = ckpt.load_checkpoint(path)

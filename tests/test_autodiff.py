@@ -300,6 +300,20 @@ def test_maxpool_keeps_a_small_argmax():
     assert graph_nbytes(out, stop=[x]) <= 1.125 * out.data.nbytes
 
 
+def test_maxpool_backward_scratch_is_bounded():
+    x = Tensor(np.random.default_rng(16).normal(size=(4, 32, 41, 30)), requires_grad=True)
+    out = maxpool1d(x, 3, axis=2)
+    out.grad = np.ones(out.shape)
+    tracemalloc.start()
+    try:
+        out._backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the input gradient plus the scatter's indices, with no window buffer
+    assert peak < 1.75 * x.data.nbytes
+
+
 def test_prelu_hand_values():
     x = Tensor([[-2.0, 0.0, 3.0], [4.0, -0.5, 0.0]], requires_grad=True)
     slopes = Tensor([0.25, 0.5, 2.0], requires_grad=True)

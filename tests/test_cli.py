@@ -200,6 +200,52 @@ def test_eval_malformed_phone_map_exits_two(trained_run, corpus, tmp_path):
     assert code == 2
 
 
+def test_eval_phone_map_deleting_every_reference_exits_two(trained_run, corpus, tmp_path,
+                                                          capsys):
+    pmap = tmp_path / "drop.txt"
+    pmap.write_text("lo\nmid\nhi\n", encoding="utf-8")   # every label maps to nothing
+    code = main(["eval", "--checkpoint", str(trained_run / "best.ckpt"),
+                 "--manifest", str(corpus), "--phone-map", str(pmap)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {pmap}: phone map deletes every reference label")
+
+
+@pytest.mark.parametrize("command,option,what", [("eval", "--manifest", "manifest"),
+                                                 ("decode", "--manifest", "manifest"),
+                                                 ("train", "--manifest", "manifest"),
+                                                 ("inspect", "--config", "config"),
+                                                 ("eval", "--phone-map", "phone map")])
+def test_file_not_utf8_exits_two_naming_it(trained_run, corpus, tmp_path, capsys,
+                                           command, option, what):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("u\xe9\tu.qfeat\tlo\n".encode("latin-1"))
+    checkpoint = ["--checkpoint", str(trained_run / "best.ckpt")]
+    manifest = str(latin1 if option == "--manifest" else corpus)
+    args = {"eval": [*checkpoint, "--manifest", manifest],
+            "decode": [*checkpoint, "--manifest", manifest],
+            "train": ["--manifest", manifest, "--out", str(tmp_path / "o")],
+            "inspect": []}[command]
+    if option != "--manifest":
+        args += [option, str(latin1)]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {latin1}: cannot read {what} (")
+
+
+@pytest.mark.parametrize("command", ["eval", "decode"])
+def test_feature_file_without_frames_exits_two(trained_run, tmp_path, capsys, command):
+    import struct
+    from qspeech.features import MAGIC
+    empty = tmp_path / "empty.qfeat"
+    empty.write_bytes(MAGIC + struct.pack("<III", 1, 0, 41))   # version 1, 0 frames, 41 bands
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("u1\tempty.qfeat\tlo\n", encoding="utf-8")
+    code = main([command, "--checkpoint", str(trained_run / "best.ckpt"),
+                 "--manifest", str(manifest)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"data error: {empty}: feature file holds no frames")
+
+
 def test_eval_feature_file_cut_in_header_exits_two(trained_run, tmp_path):
     from qspeech.features import MAGIC
     (tmp_path / "cut.qfeat").write_bytes(MAGIC + b"\x01\x00\x00")
@@ -231,6 +277,16 @@ def test_train_out_naming_a_file_exits_two(corpus, tiny_config, tmp_path, capsys
                  "--out", str(taken)])
     assert code == 2
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_train_unwritable_checkpoint_exits_two(corpus, tiny_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "best.ckpt").mkdir(parents=True)   # a directory where the best checkpoint goes
+    code = main(["train", "--config", str(tiny_config), "--manifest", str(corpus),
+                 "--out", str(out), "--epochs", "1", "--fine-tune-epochs", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {out / 'best.ckpt'}: cannot write checkpoint (")
 
 
 def test_extract_out_naming_a_file_exits_two(corpus, tmp_path, capsys):
