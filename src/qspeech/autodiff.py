@@ -22,14 +22,18 @@ array arithmetic; the differentiation rules live here.
 
 Each op keeps only what its backward reads. ``conv2d`` computes stride-1
 cross-correlation (no kernel flip) with zero padding of at most ``k - 1``,
-the usual deep-learning convention. One routine, ``_correlate``, runs all
-three of its passes as one GEMM per frequency tap on a strip of a padded
-channels-last copy, with no im2col matrix: the forward on the input, the
-input gradient on the output gradient with the flipped kernel, and the
-weight gradient on the input with the output gradient as its kernel. So
-the backward closure keeps no array; the graph holds the input anyway, as
-the node's parent. ``prelu`` likewise keeps only its input and slopes and
-rebuilds its gain in the backward.
+the usual deep-learning convention, and adds an optional bias in place.
+All three of its passes read one column-block routine, ``_col_blocks``,
+which copies the im2col matrix of one zero-padded utterance into one reused
+buffer of about ``_COL_BYTES``, a run of output frequency rows at a time.
+The forward is one GEMM per block, written straight into that utterance's
+rows of the (B, c_out, F, T) output; the input gradient is the same routine
+on the output gradient with the flipped kernel; the weight gradient sums
+the output gradient's rows times each block of the input. No pass makes a
+temporary as large as an activation, and the backward closure keeps no
+array; the graph holds the input anyway, as the node's parent. ``prelu``
+likewise keeps only its input and slopes and rebuilds its gain in the
+backward.
 Products skip the gradient of an operand that does not require one (a
 dropout mask, say).
 
@@ -281,49 +285,111 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     return out
 
 
-def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarray:
+# Bytes of one im2col column block: a few MB, so a block and the GEMM output
+# it feeds stay cache-sized and small next to an activation. A block holds at
+# least one output row, so a row larger than this makes a larger block.
+_COL_BYTES = 8 << 20
+
+
+def _col_blocks(a: np.ndarray, kh: int, kw: int, ph: int,
+                pw: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """The im2col blocks of a (B, C, H, W) array for a kh x kw stride-1
+    window at zero padding (ph, pw), utterance by utterance: ``(b, i0, i1,
+    col)``, where ``col`` is (C*kh*kw, (i1 - i0)*ow) and its column
+    ``(i - i0)*ow + j`` holds the window of output pixel (i, j) of utterance
+    ``b``, row ``(c, u, v)`` its input value at channel c, tap (u, v).
+    ``col`` lives in one buffer reused for every block, so read it before
+    asking for the next one."""
+    nb, c, h, wd = a.shape
+    oh, ow = h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1
+    k = c * kh * kw
+    rows = min(oh, max(1, _COL_BYTES // (8 * max(1, k * ow))))
+    xp = np.zeros((c, h + 2 * ph, wd + 2 * pw))   # one padded utterance
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))   # (c, oh, ow, kh, kw)
+    buf = np.empty(k * rows * ow)
+    for b in range(nb):
+        xp[:, ph:ph + h, pw:pw + wd] = a[b]
+        for i0 in range(0, oh, rows):
+            i1 = min(i0 + rows, oh)
+            col = buf[:k * (i1 - i0) * ow].reshape(c, kh, kw, i1 - i0, ow)
+            np.copyto(col, win[:, i0:i1].transpose(0, 3, 4, 1, 2))
+            yield b, i0, i1, col.reshape(k, (i1 - i0) * ow)
+
+
+def _rows(a: np.ndarray, b: int, i0: int, i1: int) -> np.ndarray:
+    """Rows i0:i1 of utterance ``b`` of a C-contiguous (B, C, H, W) array as
+    a (C, (i1 - i0)*W) view; raises if the reshape would copy, since a
+    GEMM's writes into a copy would be lost."""
+    v = a[b, :, i0:i1].reshape(a.shape[1], (i1 - i0) * a.shape[3])
+    if v.size and not np.may_share_memory(v, a):
+        raise RuntimeError("conv2d: an output block is not a view of the output")
+    return v
+
+
+def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int,
+               bias: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 cross-correlation of a (B, C, H, W) array with a
-    (c_out, C, kh, kw) kernel at zero padding (ph, pw), as (B, c_out, oh, ow):
-    one GEMM per frequency tap over a strip whose row ``(f, b, j)`` holds the
-    kw time taps of output column ``j`` of utterance ``b`` at padded
-    frequency row ``f`` (no im2col matrix), into a frequency-major grid."""
+    (c_out, C, kh, kw) kernel at zero padding (ph, pw), as (B, c_out, oh, ow),
+    plus ``bias`` (broadcast to that shape) when given: per im2col block of
+    ``a``, one GEMM ``w.reshape(c_out, C*kh*kw) @ col`` written straight into
+    the block's rows of the output, and the block's bias added in place."""
     cout, cin, kh, kw = w.shape
-    b, _, h, wd = a.shape
-    xp = np.zeros((h + 2 * ph, b, wd + 2 * pw, cin))   # padded, channels-last
-    xp[ph:ph + h, :, pw:pw + wd] = a.transpose(2, 0, 3, 1)
-    view = sliding_window_view(xp, kw, axis=2).transpose(0, 1, 2, 4, 3)
-    s = np.ascontiguousarray(view).reshape(view.shape[:3] + (kw * cin,))
-    del xp, view
-    oh, ow = len(s) - kh + 1, s.shape[2]
-    wk = w.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
-    grid = np.empty((oh * b * ow, cout))
-    # explicit row count: kw * cin is 0 in the weight gradient of an empty batch
-    np.matmul(s[:oh].reshape(len(grid), kw * cin), wk[0], out=grid)
-    for u in range(1, kh):
-        grid += s[u:u + oh].reshape(len(grid), kw * cin) @ wk[u]
-    del s   # the strip, the largest temporary, goes before the output copy
-    return np.ascontiguousarray(grid.reshape(oh, b, ow, cout).transpose(1, 3, 0, 2))
+    nb, _, h, wd = a.shape
+    out = np.empty((nb, cout, h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1))
+    wk = w.reshape(cout, cin * kh * kw)
+    if bias is not None:
+        bias = np.broadcast_to(bias, out.shape)
+    for b, i0, i1, col in _col_blocks(a, kh, kw, ph, pw):
+        np.matmul(wk, col, out=_rows(out, b, i0, i1))
+        if bias is not None:
+            out[b, :, i0:i1] += bias[b, :, i0:i1]
+    return out
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, ph: int,
+                 pw: int) -> np.ndarray:
+    """Gradient of a conv2d kernel, (c_out, C, kh, kw), from its input ``x``
+    and its output gradient ``g``: the sum over the im2col blocks of ``x`` of
+    ``g``'s rows of the block times ``col.T``. The first block's product is
+    the sum's start, not an addition to zeros."""
+    cout, cin = g.shape[1], x.shape[1]
+    gw = part = None
+    for b, i0, i1, col in _col_blocks(x, kh, kw, ph, pw):
+        g_rows = g[b, :, i0:i1].reshape(cout, col.shape[1])
+        if gw is None:
+            gw = g_rows @ col.T
+        else:
+            part = np.matmul(g_rows, col.T, out=part)
+            gw += part
+    if gw is None:   # an empty batch
+        return np.zeros((cout, cin, kh, kw))
+    return gw.reshape(cout, cin, kh, kw)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
-           padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """Batched 2-D cross-correlation at stride 1 (``stride`` must be (1, 1)).
+           padding: tuple[int, int] = (0, 0), *, bias: Tensor | None = None) -> Tensor:
+    """Batched 2-D cross-correlation at stride 1 (``stride`` must be (1, 1)),
+    plus an optional ``bias`` that broadcasts to the output, such as one
+    value per output channel, (c_out, 1, 1).
 
     ``x`` has shape (batch, c_in, H, W), ``w`` has shape (c_out, c_in, kh,
     kw). The zero padding per axis is 0 to ``k - 1``, so every window reads
     input; the output extent per axis is ``extent + 2*pad - k + 1``.
 
-    All three passes run ``_correlate``. The input gradient correlates the
-    output gradient with the kernel flipped in both spatial axes, its
-    channel axes swapped, at padding ``k - 1 - pad``; the weight gradient
-    correlates ``x`` with the output gradient, batch and channel axes
-    swapped in both, at padding ``pad``. The closure keeps no array.
+    All three passes read the im2col blocks of ``_col_blocks``. The forward
+    and the input gradient run ``_correlate``: the input gradient correlates
+    the output gradient with the kernel flipped in both spatial axes, its
+    channel axes swapped, at padding ``k - 1 - pad``. The weight gradient
+    sums the output gradient's rows times the blocks of ``x``
+    (``_weight_grad``). The bias is added in place into the output, so it
+    makes no node of its own, and its gradient is the output gradient summed
+    over the broadcast axes. The closure keeps no array.
     """
     ph, pw = padding
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
-    _, cin, h, wd = x.data.shape
-    _, cin_w, kh, kw = w.data.shape
+    nb, cin, h, wd = x.data.shape
+    cout, cin_w, kh, kw = w.data.shape
     if cin != cin_w:
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {cin_w}")
     if tuple(stride) != (1, 1) or not (0 <= ph < kh and 0 <= pw < kw):
@@ -331,14 +397,20 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
                          f"stride {stride} and padding {padding} for a {kh}x{kw} kernel")
     if h + 2 * ph < kh or wd + 2 * pw < kw:
         raise ValueError("conv2d: padded input smaller than kernel")
+    out_shape = (nb, cout, h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1)
+    if bias is not None and np.broadcast_shapes(bias.data.shape, out_shape) != out_shape:
+        raise ValueError(f"conv2d bias of shape {bias.data.shape} does not broadcast to "
+                         f"the output shape {out_shape}")
 
-    out = Tensor._result(_correlate(x.data, w.data, ph, pw), (x, w))
+    parents = (x, w) if bias is None else (x, w, bias)
+    data = _correlate(x.data, w.data, ph, pw, None if bias is None else bias.data)
+    out = Tensor._result(data, parents)
     if out.requires_grad:
         def bw():
+            if bias is not None and bias.requires_grad:
+                bias._accum(_unbroadcast(out.grad, bias.data.shape))
             if w.requires_grad:
-                gw = _correlate(x.data.transpose(1, 0, 2, 3), out.grad.transpose(1, 0, 2, 3),
-                                ph, pw)
-                w._accum(gw.transpose(1, 0, 2, 3))
+                w._accum(_weight_grad(x.data, out.grad, kh, kw, ph, pw), owned=True)
             if x.requires_grad:
                 wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                 x._accum(_correlate(out.grad, wf, kh - 1 - ph, kw - 1 - pw), owned=True)

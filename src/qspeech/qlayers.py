@@ -15,9 +15,11 @@ The layers compute it as one real operation on the stacked input:
 ``hamilton_block`` builds the real weight with the 4x4 block structure
 [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]] from the four weight
 planes, and one ``conv2d`` (``linear``) applies it as stored, giving the
-stacked output. The block is transient: once the product has run, the
-layer drops it, and ``autodiff.backward`` rebuilds it from the planes for
-the product's backward, so a training graph holds no block weight. Two
+stacked output; ``conv2d`` also adds the bias into it, and a dense layer
+adds its bias as one more node. The block is transient: once the product
+has run, the layer drops it, and ``autodiff.backward`` rebuilds it from the
+planes for the product's backward, so a training graph holds no block
+weight. Two
 independent routes check this:
 ``selftest.hamilton_conv2d``/``hamilton_dense`` expand the product above
 into 16 real convolutions (matrix products), and ``block_weight_matrix``
@@ -284,15 +286,21 @@ def hamilton_block(planes: Sequence[Tensor]) -> Tensor:
 
 
 def _hamilton_layer(q: QTensor, w: QTensor, bias: QTensor | None,
-                    op: Callable[[Tensor, Tensor], Tensor]) -> QTensor:
-    """Apply ``op`` to the stacked input and the block weight, then drop the
-    block (the backward rebuilds it); add the bias."""
+                    op: Callable[[Tensor, Tensor, Tensor | None], Tensor]) -> QTensor:
+    """Apply ``op`` to the stacked input, the block weight and the
+    concatenated bias planes (None without a bias), then drop the block (the
+    backward rebuilds it). A conv ``op`` passes the bias to ``conv2d``, which
+    adds it in place, so a conv layer records no bias-add node."""
     block = hamilton_block(w.components)
-    out = op(q.stacked(), block)
+    out = op(q.stacked(), block, None if bias is None else concat(bias.components, axis=0))
     block.drop()
-    if bias is not None:
-        out = out + concat(bias.components, axis=0)
     return QTensor.of(out)
+
+
+def _linear_plus(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """``linear(x, w)``, plus ``b`` when given."""
+    out = linear(x, w)
+    return out if b is None else out + b
 
 
 class _QLayer:
@@ -339,7 +347,7 @@ class QConv2d(_QLayer):
         if q.shape[1] != self.in_q:
             raise ValueError(f"expected {self.in_q} quaternion channels, got {q.shape[1]}")
         return _hamilton_layer(q, self.w, self.bias,
-                               lambda x, w: conv2d(x, w, padding=self.padding))
+                               lambda x, w, b: conv2d(x, w, padding=self.padding, bias=b))
 
 
 class QDense(_QLayer):
@@ -356,7 +364,7 @@ class QDense(_QLayer):
     def __call__(self, q: QTensor) -> QTensor:
         if q.shape[-1] != self.in_q:
             raise ValueError(f"expected {self.in_q} quaternion inputs, got {q.shape[-1]}")
-        return _hamilton_layer(q, self.w, self.bias, linear)
+        return _hamilton_layer(q, self.w, self.bias, _linear_plus)
 
 
 class _PReLU:
@@ -404,8 +412,7 @@ class RealConv2d(_RealLayer):
         self.b = Tensor(np.zeros((c_out, 1, 1)), requires_grad=True) if bias else None
 
     def __call__(self, t: Tensor) -> Tensor:
-        out = conv2d(t, self.w, padding=self.padding)
-        return out + self.b if self.b is not None else out
+        return conv2d(t, self.w, padding=self.padding, bias=self.b)
 
 
 class RealDense(_RealLayer):
@@ -415,8 +422,7 @@ class RealDense(_RealLayer):
         self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, t: Tensor) -> Tensor:
-        out = linear(t, self.w)
-        return out + self.b if self.b is not None else out
+        return _linear_plus(t, self.w, self.b)
 
 
 class RealPReLU(_PReLU):

@@ -14,6 +14,8 @@ skipped and counted, never fatal.
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -68,6 +70,22 @@ def _feasible(batch: Batch) -> tuple[list[int], int]:
     ok = [i for i in range(len(batch.targets))
           if batch.lengths[i] >= min_alignment_frames(batch.targets[i])]
     return ok, len(batch.targets) - len(ok)
+
+
+def _check_writable(path: Path) -> None:
+    """Raise the ``DataError`` that ``Trainer.save`` would raise for
+    ``path``, found without training: ``path`` must not be a directory, and
+    the temporary file a save writes beside it must be creatable (it is
+    created and removed)."""
+    try:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tmp = Path(f"{path}.tmp")
+        with open(tmp, "wb"):
+            pass
+        tmp.unlink()
+    except OSError as e:
+        raise DataError(f"{path}: cannot write checkpoint ({e.strerror})") from None
 
 
 class Trainer:
@@ -167,6 +185,9 @@ class Trainer:
                              best_path=self.resumed_from, last_path=out_dir / "last.ckpt")
 
         total = cfg.train.epochs + cfg.train.fine_tune_epochs
+        if self.start_epoch < total:   # a checkpoint no epoch could save fails now
+            _check_writable(out_dir / "best.ckpt")
+            _check_writable(result.last_path)
         optimizer = None
         current_phase = None
         for epoch in range(self.start_epoch, total):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from qspeech import autodiff
 from qspeech.autodiff import (Tensor, backward, concat, conv2d, graph_nbytes, linear,
                               maxpool1d, no_grad, prelu, zero_grads)
 from qspeech.gradcheck import check_gradients
@@ -215,6 +216,99 @@ def test_conv2d_backward_scratch_is_bounded():
         tracemalloc.stop()
     # gradients, strips and GEMM outputs of one backward, in input sizes
     assert peak < 15 * x.data.nbytes
+
+
+def _conv_oracle(x, w, bias, g, padding):
+    """Forward output and input, weight and bias gradients of a conv2d with
+    a (c_out, 1, 1) bias under the loss ``(out * g).sum()``, by einsum over
+    every kh x kw window of the padded input (and, for the input gradient,
+    one einsum per tap scattered back), without the conv routines."""
+    ph, pw = padding
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))   # (b, c, oh, ow, kh, kw)
+    out = np.einsum("bcijuv,ocuv->boij", win, w) + bias
+    oh, ow = out.shape[2:]
+    gxp = np.zeros(xp.shape)
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u:u + oh, v:v + ow] += np.einsum("boij,oc->bcij", g, w[:, :, u, v])
+    gx = gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
+    gw = np.einsum("bcijuv,boij->ocuv", win, g)
+    return out, gx, gw, g.sum(axis=(0, 2, 3)).reshape(bias.shape)
+
+
+@pytest.mark.parametrize("shape,padding", [((3, 4, 7, 9), (0, 0)), ((3, 4, 7, 9), (1, 2)),
+                                           ((3, 4, 7, 9), (2, 4)), ((2, 4, 7, 1), (1, 2)),
+                                           ((2, 4, 7, 1), (2, 4)), ((0, 4, 7, 9), (1, 2))])
+def test_conv2d_matches_einsum_across_column_blocks(monkeypatch, shape, padding):
+    # Blocks of two output rows in the forward and the weight gradient, so
+    # an utterance spans several blocks and the last one is partial.
+    cout, (kh, kw) = 3, (3, 5)
+    ow = shape[3] + 2 * padding[1] - kw + 1
+    monkeypatch.setattr(autodiff, "_COL_BYTES", 8 * 2 * shape[1] * kh * kw * ow + 1)
+    calls = []   # (utterance, output rows) of each block, per call
+    real_blocks = autodiff._col_blocks
+
+    def recorded_blocks(*args):
+        calls.append([])
+        for block in real_blocks(*args):
+            calls[-1].append((block[0], block[2] - block[1]))
+            yield block
+    monkeypatch.setattr(autodiff, "_col_blocks", recorded_blocks)
+
+    rng = np.random.default_rng([shape[0], shape[3], *padding])
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(cout, shape[1], kh, kw)), requires_grad=True)
+    b = Tensor(rng.normal(size=(cout, 1, 1)), requires_grad=True)
+    out = conv2d(x, w, (1, 1), padding, bias=b)
+    g = rng.normal(size=out.shape)
+    backward((out * Tensor(g)).sum())
+    expected = _conv_oracle(x.data, w.data, b.data, g, padding)
+    for got, want in zip((out.data, x.grad, w.grad, b.grad), expected):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    if shape[0]:   # the forward's first utterance: blocks of 2 rows, then 1
+        first = [rows for b, rows in calls[0] if b == 0]
+        assert len(first) > 2 and first == [2] * (len(first) - 1) + [1]
+
+
+def test_conv2d_rejects_a_bias_that_does_not_broadcast():
+    x = Tensor(np.zeros((2, 2, 6, 9)))
+    w = Tensor(np.zeros((3, 2, 3, 5)))
+    with pytest.raises(ValueError):
+        conv2d(x, w, (1, 1), (1, 2), bias=Tensor(np.zeros((2, 1, 1))))
+    with pytest.raises(ValueError):   # it would enlarge the output
+        conv2d(x, w, (1, 1), (1, 2), bias=Tensor(np.zeros((1, 2, 3, 1, 1))))
+
+
+def test_conv2d_output_block_must_be_a_view():
+    strided = np.zeros((2, 3, 5, 4)).transpose(0, 1, 3, 2)   # reshaping rows copies
+    with pytest.raises(RuntimeError):
+        autodiff._rows(strided, 0, 1, 3)
+    out = np.zeros((2, 3, 4, 5))
+    assert np.shares_memory(autodiff._rows(out, 1, 1, 3), out)
+
+
+def _no_grad_peak(x_shape, cout):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=x_shape))
+    w = Tensor(rng.normal(size=(cout, x_shape[1], 3, 5)))
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, (1, 1), (1, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak / out.data.nbytes
+
+
+def test_conv2d_forward_scratch_is_a_fraction_of_its_output():
+    # the output, one padded utterance and one column block: no padded copy
+    # of the batch, no strip, no grid, no transposed copy of the output
+    assert _no_grad_peak((2, 128, 13, 300), 128) < 3.0
+    assert _no_grad_peak((8, 4, 41, 100), 128) < 1.5
 
 
 def test_backward_requires_scalar():

@@ -289,6 +289,20 @@ def test_train_unwritable_checkpoint_exits_two(corpus, tiny_config, tmp_path, ca
         f"data error: {out / 'best.ckpt'}: cannot write checkpoint (")
 
 
+@pytest.mark.parametrize("name", ["best.ckpt", "last.ckpt"])
+def test_train_unwritable_checkpoint_fails_before_the_first_epoch(corpus, tiny_config,
+                                                                  tmp_path, capsys, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    code = main(["train", "--config", str(tiny_config), "--manifest", str(corpus),
+                 "--out", str(out), "--epochs", "1", "--fine-tune-epochs", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"data error: {out / name}: cannot write checkpoint (")
+    assert "epoch=" not in captured.out   # no epoch was trained
+    assert sorted(p.name for p in out.iterdir()) == [name]   # and no probe file is left
+
+
 def test_extract_out_naming_a_file_exits_two(corpus, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")

@@ -280,6 +280,26 @@ class TestOneGemmPerLayer:
         # the block weight is dropped after the conv and rebuilt in the backward
         assert held <= 4.25 * activation + vectors
 
+    def test_conv_block_holds_three_activations(self):
+        rng = np.random.default_rng(48)
+        conv, act = QConv2d(8, 8, (3, 5), rng), QPReLU(8)
+        q = stacked_input(rng, (2, 8, 13, 20))
+        out = quaternion_dropout(act(conv(q)), 0.3, rng, training=True).stacked()
+        params = [t for _, t in conv.parameters("conv") + act.parameters("act")]
+        held = graph_nbytes(out, stop=[q.stacked()] + params)
+        activation = out.data.nbytes
+        vectors = 2 * (4 * 8 + 5) * 8   # concatenated bias and slopes, split offsets
+        # conv (its bias added in place), PReLU and dropout outputs, plus a
+        # plane-sized mask: no bias-add output
+        assert held <= 3.25 * activation + vectors
+
+    def test_conv_records_no_bias_add_node(self):
+        rng = np.random.default_rng(44)
+        layer = QConv2d(3, 2, (3, 5), rng)
+        q = stacked_input(rng, (2, 3, 6, 7))
+        # block weight, bias concat, conv
+        assert new_graph_nodes([layer(q).stacked()], [q.stacked()]) == 3
+
     def test_dense_graph_holds_output_and_bias(self):
         rng = np.random.default_rng(49)
         layer = QDense(6, 5, rng)
