@@ -32,8 +32,11 @@ on the output gradient with the flipped kernel; the weight gradient sums
 the output gradient's rows times each block of the input. No pass makes a
 temporary as large as an activation, and the backward closure keeps no
 array; the graph holds the input anyway, as the node's parent. ``prelu``
-likewise keeps only its input and slopes and rebuilds its gain in the
-backward.
+runs PReLU and an optional inverted dropout as one node. With every slope
+> 0 the activation keeps the sign of its input, so its backward reads only
+its own output and the slopes, not its input and not a mask (the in-place
+activation of Rota Bulo et al., arXiv:1712.02616); with a slope <= 0 it
+keeps its input and a bool mask and rebuilds its gain from the input.
 Products skip the gradient of an operand that does not require one (a
 dropout mask, say).
 
@@ -47,6 +50,14 @@ node with one child, right after the child that rebuilt it), so the
 rebuilt array and its gradient live only that long. Under ``no_grad``
 nothing is recorded, so nothing is dropped. The quaternion layers drop
 their block weight this way (``qlayers.hamilton_block``).
+
+A node whose data no backward reads can be released instead
+(``Tensor.release``): its data goes for good, and ``backward`` runs its
+closure without rebuilding it. ``prelu(..., consume=True)`` writes its
+output into its input's buffer and releases the input when its backward
+does not need it, and a caller may release the input of ``maxpool1d``.
+That is how a model block keeps one activation: the conv output is read
+by no backward once PReLU runs from its output.
 
 A gradient takes its first contribution instead of adding it to zeros.
 An array the op allocated for that contribution alone becomes the
@@ -65,8 +76,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["Tensor", "backward", "no_grad", "linear", "prelu", "conv2d", "maxpool1d",
-           "concat", "graph_nbytes"]
+__all__ = ["Tensor", "backward", "no_grad", "linear", "prelu", "prelu_invertible",
+           "conv2d", "maxpool1d", "concat", "graph_nbytes"]
 
 _grad_enabled: ContextVar[bool] = ContextVar("qspeech_grad_enabled", default=True)
 
@@ -134,6 +145,13 @@ class Tensor:
         other node."""
         if self._rebuild is not None:
             self.data = None
+
+    def release(self) -> None:
+        """Free the data of a node that no backward reads (it keeps its
+        gradient and its place in the graph); ``backward`` runs its closure
+        without rebuilding it. Only the caller can know that no other
+        reader is left."""
+        self.data, self._rebuild = None, None
 
     def _accum(self, g: np.ndarray, owned: bool = False) -> None:
         """Add a gradient contribution. ``owned`` says the op allocated
@@ -260,27 +278,87 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return out
 
 
-def prelu(x: Tensor, slopes: Tensor) -> Tensor:
-    """Parametric ReLU, ``v if v > 0 else a * v``, with one slope ``a`` per
-    channel of axis 1. The gradient with respect to ``v`` is 0 at 0."""
-    if x.data.ndim < 2 or slopes.data.shape != (x.data.shape[1],):
-        raise ValueError(f"PReLU needs one slope per axis-1 channel of {x.data.shape}, "
-                         f"got {slopes.data.shape}")
-    a_shape = slopes.data.shape + (1,) * (x.data.ndim - 2)
+def prelu_invertible(slopes: Tensor) -> bool:
+    """Whether ``prelu`` with these slopes runs its backward from its output:
+    every slope finite and > 0, so the activation keeps the sign of its
+    input and is strictly increasing."""
+    a = slopes.data
+    return bool(np.all(a > 0.0) and np.all(np.isfinite(a)))
 
-    def gain():   # d out / d v: a where v < 0, 1 where v > 0, else 0
-        g = slopes.data.reshape(a_shape) * (x.data < 0.0)
-        g += x.data > 0.0
+
+def prelu(x: Tensor, slopes: Tensor, *, repeat: int = 1, keep: np.ndarray | None = None,
+          scale: float = 1.0, consume: bool = False) -> Tensor:
+    """Parametric ReLU, ``v if v > 0 else a * v``, then optional inverted
+    dropout, as one node.
+
+    Axis 1 of ``x`` holds ``repeat`` blocks of C channels, and ``slopes``
+    has one slope per channel, shared by its ``repeat`` blocks (4 for the
+    r|x|y|z blocks of a quaternion activation). ``keep``, when given, is a
+    bool mask of the plane shape (``x``'s shape with axis 1 cut to C),
+    shared by the blocks: a kept unit is multiplied by ``scale``, a dropped
+    one becomes 0. The gradient with respect to ``v`` is 0 at 0.
+
+    With every slope finite and > 0 (``prelu_invertible``) the output ``o``
+    has the sign of ``v``, so the backward reads only ``o`` and the slopes:
+    the input gradient is ``g * scale * (1, a or 0 where o >, < or == 0)``,
+    which is 0 for a dropped unit, and the slope gradient is
+    ``sum(g * min(o, 0)) / a``. The node then keeps no mask and needs no
+    input data. Otherwise it keeps ``x`` and the mask and rebuilds the gain
+    ``a*(v<0) + (v>0)`` from ``x``. ``consume=True`` says that no one else
+    reads ``x``'s data: the output is written into ``x``'s buffer and ``x``
+    is released, unless the backward needs it.
+    """
+    shape = x.data.shape
+    if x.data.ndim < 2 or repeat < 1 or shape[1] % repeat or \
+            slopes.data.shape != (shape[1] // repeat,):
+        raise ValueError(f"PReLU needs one slope per axis-1 channel of {repeat} block(s) of "
+                         f"{shape}, got {slopes.data.shape}")
+    c = shape[1] // repeat
+    blocks = (shape[0], repeat, c) + shape[2:]   # the (B, repeat, C, ...) view of x
+    plane = (shape[0], c) + shape[2:]
+    if keep is not None and keep.shape != plane:
+        raise ValueError(f"dropout mask of shape {keep.shape} for a plane of shape {plane}")
+    a_shape = (1, 1, c) + (1,) * (len(shape) - 2)
+    sum_axes = (0, 1) + tuple(range(3, len(blocks)))
+    invertible = prelu_invertible(slopes)
+    keeps_input = not invertible and _grad_enabled.get() and (
+        x.requires_grad or slopes.requires_grad)
+
+    def gain(v, out=None):   # d out / d v: a where v < 0, 1 where v > 0, else 0
+        g = np.multiply(slopes.data.reshape(a_shape), v < 0.0, out=out)
+        g += v > 0.0
         return g
 
-    out = Tensor._result(x.data * gain(), (x, slopes))
+    xb = x.data.reshape(blocks)
+    ob = np.multiply(xb, gain(xb), out=xb if consume and not keeps_input else None)
+    if keep is None:
+        scale = 1.0
+    else:
+        ob *= scale
+        ob *= keep[:, None]
+    out = Tensor._result(ob.reshape(shape), (x, slopes))
+    if ob is xb:
+        x.release()
     if out.requires_grad:
-        # The closure keeps x and the slopes only; the gain is rebuilt.
+        if invertible:
+            keep = None   # a dropped unit's output is 0, where the gain is 0
+
         def bw():
-            x._accum(out.grad * gain(), owned=True)
+            g = out.grad.reshape(blocks)
+            v = (out if invertible else x).data.reshape(blocks)
+            gd = g * scale   # a new array, which the in-place products may change
+            if keep is not None:
+                gd *= keep[:, None]
+            t = None
             if slopes.requires_grad:
-                g = _unbroadcast(out.grad * np.minimum(x.data, 0.0), a_shape)
-                slopes._accum(g.reshape(slopes.data.shape), owned=True)
+                t = np.minimum(v, 0.0)
+                t *= g if invertible else gd
+                gs = t.sum(axis=sum_axes)
+                slopes._accum(gs / slopes.data if invertible else gs, owned=True)
+            if x.requires_grad:
+                # from o, it is the gain of the input; t's buffer is free again
+                gd *= gain(v, out=t)
+                x._accum(gd.reshape(shape), owned=True)
         out._backward = bw
     return out
 
@@ -291,22 +369,39 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
 _COL_BYTES = 8 << 20
 
 
-def _col_blocks(a: np.ndarray, kh: int, kw: int, ph: int,
-                pw: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+def _col_rows(shape: tuple[int, ...], kh: int, kw: int, ph: int, pw: int) -> int:
+    """Output rows per im2col block of a (B, C, H, W) array: as many as fit
+    in ``_COL_BYTES``, at least one."""
+    _, c, h, wd = shape
+    oh, ow = h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1
+    return min(oh, max(1, _COL_BYTES // (8 * max(1, c * kh * kw * ow))))
+
+
+def _col_size(shape: tuple[int, ...], kh: int, kw: int, ph: int, pw: int) -> int:
+    """Elements of the buffer ``_col_blocks`` needs for a (B, C, H, W) array."""
+    ow = shape[3] + 2 * pw - kw + 1
+    return shape[1] * kh * kw * _col_rows(shape, kh, kw, ph, pw) * ow
+
+
+def _col_blocks(a: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+                buf: np.ndarray | None = None) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """The im2col blocks of a (B, C, H, W) array for a kh x kw stride-1
     window at zero padding (ph, pw), utterance by utterance: ``(b, i0, i1,
     col)``, where ``col`` is (C*kh*kw, (i1 - i0)*ow) and its column
     ``(i - i0)*ow + j`` holds the window of output pixel (i, j) of utterance
     ``b``, row ``(c, u, v)`` its input value at channel c, tap (u, v).
     ``col`` lives in one buffer reused for every block, so read it before
-    asking for the next one."""
+    asking for the next one; ``buf``, when given, is that buffer (at least
+    ``_col_size`` elements), so that passes run one after the other can
+    share it."""
     nb, c, h, wd = a.shape
     oh, ow = h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1
     k = c * kh * kw
-    rows = min(oh, max(1, _COL_BYTES // (8 * max(1, k * ow))))
+    rows = _col_rows(a.shape, kh, kw, ph, pw)
     xp = np.zeros((c, h + 2 * ph, wd + 2 * pw))   # one padded utterance
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))   # (c, oh, ow, kh, kw)
-    buf = np.empty(k * rows * ow)
+    if buf is None:
+        buf = np.empty(k * rows * ow)
     for b in range(nb):
         xp[:, ph:ph + h, pw:pw + wd] = a[b]
         for i0 in range(0, oh, rows):
@@ -327,19 +422,26 @@ def _rows(a: np.ndarray, b: int, i0: int, i1: int) -> np.ndarray:
 
 
 def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int,
-               bias: np.ndarray | None = None) -> np.ndarray:
+               bias: np.ndarray | None = None, buf: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 cross-correlation of a (B, C, H, W) array with a
     (c_out, C, kh, kw) kernel at zero padding (ph, pw), as (B, c_out, oh, ow),
     plus ``bias`` (broadcast to that shape) when given: per im2col block of
     ``a``, one GEMM ``w.reshape(c_out, C*kh*kw) @ col`` written straight into
-    the block's rows of the output, and the block's bias added in place."""
+    the block's rows of the output, and the block's bias added in place.
+    ``buf``, when given, is a scratch of ``_col_size`` elements for the
+    columns plus ``w.size`` for the kernel as one contiguous matrix."""
     cout, cin, kh, kw = w.shape
     nb, _, h, wd = a.shape
     out = np.empty((nb, cout, h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1))
-    wk = w.reshape(cout, cin * kh * kw)
+    if buf is None:
+        wk = w.reshape(cout, cin * kh * kw)
+    else:
+        n = _col_size(a.shape, kh, kw, ph, pw)
+        wk = buf[n:n + w.size].reshape(cout, cin * kh * kw)
+        np.copyto(wk.reshape(w.shape), w)
     if bias is not None:
         bias = np.broadcast_to(bias, out.shape)
-    for b, i0, i1, col in _col_blocks(a, kh, kw, ph, pw):
+    for b, i0, i1, col in _col_blocks(a, kh, kw, ph, pw, buf):
         np.matmul(wk, col, out=_rows(out, b, i0, i1))
         if bias is not None:
             out[b, :, i0:i1] += bias[b, :, i0:i1]
@@ -347,14 +449,19 @@ def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int,
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, ph: int,
-                 pw: int) -> np.ndarray:
+                 pw: int, buf: np.ndarray | None = None) -> np.ndarray:
     """Gradient of a conv2d kernel, (c_out, C, kh, kw), from its input ``x``
     and its output gradient ``g``: the sum over the im2col blocks of ``x`` of
     ``g``'s rows of the block times ``col.T``. The first block's product is
-    the sum's start, not an addition to zeros."""
+    the sum's start, not an addition to zeros. ``buf``, when given, is a
+    scratch of ``_col_size`` elements for the columns plus a kernel's size
+    for the partial product of a block."""
     cout, cin = g.shape[1], x.shape[1]
     gw = part = None
-    for b, i0, i1, col in _col_blocks(x, kh, kw, ph, pw):
+    if buf is not None:
+        n = _col_size(x.shape, kh, kw, ph, pw)
+        part = buf[n:n + cout * cin * kh * kw].reshape(cout, cin * kh * kw)
+    for b, i0, i1, col in _col_blocks(x, kh, kw, ph, pw, buf):
         g_rows = g[b, :, i0:i1].reshape(cout, col.shape[1])
         if gw is None:
             gw = g_rows @ col.T
@@ -383,7 +490,10 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     sums the output gradient's rows times the blocks of ``x``
     (``_weight_grad``). The bias is added in place into the output, so it
     makes no node of its own, and its gradient is the output gradient summed
-    over the broadcast axes. The closure keeps no array.
+    over the broadcast axes. The closure keeps no array. The backward's two
+    passes share one scratch array, allocated once per call: the larger
+    column buffer, then a kernel-sized matrix that holds the weight
+    gradient's partial product and then the flipped kernel.
     """
     ph, pw = padding
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -409,11 +519,18 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
         def bw():
             if bias is not None and bias.requires_grad:
                 bias._accum(_unbroadcast(out.grad, bias.data.shape))
+            # one scratch for both passes, sized for the larger: no column
+            # buffer, partial product or flipped kernel of its own per pass
+            cols = max(_col_size(x.data.shape, kh, kw, ph, pw) if w.requires_grad else 0,
+                       _col_size(out.grad.shape, kh, kw, kh - 1 - ph, kw - 1 - pw)
+                       if x.requires_grad else 0)
+            buf = np.empty(cols + w.data.size)
             if w.requires_grad:
-                w._accum(_weight_grad(x.data, out.grad, kh, kw, ph, pw), owned=True)
+                w._accum(_weight_grad(x.data, out.grad, kh, kw, ph, pw, buf), owned=True)
             if x.requires_grad:
                 wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                x._accum(_correlate(out.grad, wf, kh - 1 - ph, kw - 1 - pw), owned=True)
+                x._accum(_correlate(out.grad, wf, kh - 1 - ph, kw - 1 - pw, buf=buf),
+                         owned=True)
 
         out._backward = bw
     return out
@@ -425,7 +542,9 @@ def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
     A ragged tail shorter than ``width`` is truncated. Gradient goes to
     the first maximal element of each window, so ties break
     deterministically. The backward keeps each window's argmax in the
-    smallest unsigned type that holds ``width - 1`` (one byte below 256).
+    smallest unsigned type that holds ``width - 1`` (one byte below 256),
+    and reads neither the input's nor its own data, so a caller may
+    ``release`` the input.
     """
     if width < 1:
         raise ValueError("pool width must be >= 1")
@@ -436,15 +555,16 @@ def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
     axis %= x.data.ndim
 
     # the pooled axis split in two, (windows, width), as a view
+    shape = x.data.shape   # the backward may run after x is released
     keep = (slice(None),) * axis + (slice(np_out * width),)
-    split = x.data.shape[:axis] + (np_out, width) + x.data.shape[axis + 1:]
+    split = shape[:axis] + (np_out, width) + shape[axis + 1:]
     xr = x.data[keep].reshape(split)
     out = Tensor._result(xr.max(axis=axis + 1), (x,))
     if out.requires_grad:
         idx = np.expand_dims(xr.argmax(axis=axis + 1).astype(np.min_scalar_type(width - 1)),
                              axis + 1)
         def bw():
-            gx = np.zeros(x.data.shape)
+            gx = np.zeros(shape)
             np.put_along_axis(gx[keep].reshape(split), idx,
                               np.expand_dims(out.grad, axis + 1), axis=axis + 1)
             x._accum(gx, owned=True)
@@ -476,9 +596,10 @@ def backward(loss: Tensor) -> None:
     ``backward`` through the same graph reaches no parameter.
 
     A dropped node (``Tensor.drop``) is rebuilt just before the first of its
-    children runs its closure. The walk visits a node's rebuildable parents
-    last, so such a parent runs its own closure, and is released, right
-    after the child that reached it rather than at the end of the pass.
+    children runs its closure; a released one (``Tensor.release``) is not.
+    The walk visits a node's rebuildable parents last, so such a parent runs
+    its own closure, and is released, right after the child that reached it
+    rather than at the end of the pass.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -507,7 +628,7 @@ def backward(loss: Tensor) -> None:
     while topo:
         node = topo.pop()
         for p in node._parents:   # the first child rebuilds a dropped parent
-            if p.data is None:
+            if p.data is None and p._rebuild is not None:
                 p.data = p._rebuild()
         if node._backward is not None:
             node._backward()
@@ -544,10 +665,10 @@ def graph_nbytes(root: Tensor, stop: Iterable[Tensor] = ()) -> int:
 
     Walks ``root`` and its ancestors through their parents, not entering
     the ``stop`` tensors, and sums the data of every node reached (none for
-    a dropped node) and the arrays its backward closure holds. Each
-    underlying buffer counts once, so views add nothing, and the buffers
-    of the ``stop`` tensors' data count not at all (pass the inputs and
-    parameters to count only what the graph adds).
+    a dropped or released node) and the arrays its backward closure holds.
+    Each underlying buffer counts once, so views add nothing, and the
+    buffers of the ``stop`` tensors' data count not at all (pass the inputs
+    and parameters to count only what the graph adds).
     """
     stop = list(stop)
     seen = {id(_buffer(t.data)) for t in stop}
@@ -556,7 +677,7 @@ def graph_nbytes(root: Tensor, stop: Iterable[Tensor] = ()) -> int:
     stack = [root] if id(root) not in visited else []
     while stack:
         node = stack.pop()
-        # a dropped node's data is None, which holds no array
+        # a dropped or released node's data is None, which holds no array
         arrays = _held_arrays((node.data, node._backward), set())
         for buf in map(_buffer, arrays):
             if id(buf) not in seen:

@@ -6,7 +6,10 @@ one real affine output layer producing per-frame class logits (symbols
 plus blank). Every conv/dense block uses PReLU; dropout and L2
 regularization cover the hidden layers only, never the first conv or the
 output head. Nothing pools the time axis, so there is one logit row per
-input frame.
+input frame. A block's PReLU and dropout are one node that takes the layer
+output's buffer (``qlayers._PReLU.block``); the first block pools before
+PReLU when every slope is > 0, which gives the same values
+(``pooled_block``).
 
 ``build_model`` builds it from quaternion layers on the stacked
 ``qlayers.QTensor`` layout (slopes and dropout draws shared by a unit's
@@ -22,8 +25,10 @@ import numpy as np
 from .autodiff import Tensor
 from .config import ModelConfig
 from .qlayers import (QConv2d, QDense, QPReLU, QTensor, RealConv2d, RealDense,
-                      RealPReLU, maxpool_freq, quaternion_dropout, split_maxpool_freq,
-                      unit_dropout)
+                      RealPReLU, maxpool_freq, split_maxpool_freq)
+# Bound here, though the blocks fuse dropout into PReLU, because profiling
+# wrappers patch this module's name.
+from .qlayers import quaternion_dropout  # noqa: F401
 
 __all__ = ["CNNModel", "build_model", "build_real_model", "count_params"]
 
@@ -74,28 +79,33 @@ class CNNModel:
         """Map (batch, 4*in_channels, freq, time) stacked features to
         (batch, time, n_classes) logits."""
         cfg = self.cfg
-        # Looked up at call time, so wrappers installed on this module's
-        # names see every pool and dropout call.
+        # The pool is looked up at call time, so a wrapper installed on this
+        # module's name sees every pool call.
         if self.algebra == "quaternion":
-            wrap, pool, dropout = QTensor.of, split_maxpool_freq, quaternion_dropout
+            wrap = QTensor.of
+
+            def pool(t: Tensor) -> Tensor:
+                return split_maxpool_freq(QTensor.of(t), cfg.pool_width).stacked()
         else:
-            wrap, pool, dropout = _tensor, maxpool_freq, unit_dropout
-        x = wrap(feats.stacked())
+            wrap = _tensor
+
+            def pool(t: Tensor) -> Tensor:
+                return maxpool_freq(t, cfg.pool_width)
+        # Each layer output goes straight into its activation, which takes
+        # its buffer: no reference to it outlives the block.
+        x = feats.stacked()
         for i, (conv, act) in enumerate(zip(self.convs, self.conv_acts)):
-            x = act(conv(x))
             if i == 0:
-                x = pool(x, cfg.pool_width)
+                x = act.pooled_block(_tensor(conv(wrap(x))), pool)
             else:
-                x = dropout(x, cfg.dropout, rng, training)
+                x = act.block(_tensor(conv(wrap(x))), cfg.dropout, rng, training)
 
-        x = _tensor(x)
         b, c, f, t = x.shape
-        x = wrap(x.transpose((0, 3, 1, 2)).reshape((b * t, c * f)))
+        x = x.transpose((0, 3, 1, 2)).reshape((b * t, c * f))
         for dense, act in zip(self.denses, self.dense_acts):
-            x = act(dense(x))
-            x = dropout(x, cfg.dropout, rng, training)
+            x = act.block(_tensor(dense(wrap(x))), cfg.dropout, rng, training)
 
-        logits = self.head(_tensor(x))
+        logits = self.head(x)
         return logits.reshape((b, t, self.n_classes))
 
     def parameters(self) -> list[tuple[str, Tensor]]:

@@ -28,7 +28,12 @@ is a numpy oracle of the block weight that no layer calls.
 Activations, pooling and dropout are "split": one real operation on the
 stacked tensor, with PReLU slopes repeated over the four blocks and one
 plane-sized dropout mask broadcast over them, so the four components of a
-unit are kept or dropped together.
+unit are kept or dropped together. A model block runs PReLU and dropout as
+one ``autodiff.prelu`` node over a layer's fresh output (``QPReLU.block``,
+the same for the real ``RealPReLU``), and its first block pools before
+PReLU (``pooled_block``). With every slope > 0 that node's backward reads
+its own output only, so the layer output is released and a block holds
+one activation.
 
 Weights come from a polar initializer: per weight, a purely imaginary
 quaternion with components uniform in [0,1) is normalized to a unit axis
@@ -48,7 +53,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat, conv2d, linear, maxpool1d, no_grad, prelu
+from .autodiff import (Tensor, concat, conv2d, linear, maxpool1d, no_grad, prelu,
+                       prelu_invertible)
 
 __all__ = [
     "QTensor",
@@ -141,17 +147,26 @@ def split_maxpool_freq(q: QTensor, pool_width: int) -> QTensor:
     return QTensor.of(maxpool_freq(q.stacked(), pool_width))
 
 
-def _dropout_scale(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
-                   training: bool) -> np.ndarray | None:
-    """One Bernoulli(1-rate) draw per unit of ``shape``, scaled by
-    1/(1-rate); None when dropout is the identity (not training, or rate 0)."""
+def _dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
+                  training: bool) -> np.ndarray | None:
+    """One Bernoulli(1-rate) draw per unit of ``shape``, as a bool mask of
+    the kept units; None when dropout is the identity (not training, or
+    rate 0). Every dropout of the model draws through here, with one
+    ``rng.random(shape)`` call."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return rng.random(shape) >= rate
+
+
+def _dropout_scale(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
+                   training: bool) -> np.ndarray | None:
+    """``_dropout_keep``'s mask as 0 or 1/(1-rate) per unit."""
+    keep = _dropout_keep(shape, rate, rng, training)
+    return None if keep is None else keep / (1.0 - rate)
 
 
 def unit_dropout(t: Tensor, rate: float, rng: np.random.Generator | None,
@@ -368,22 +383,55 @@ class QDense(_QLayer):
 
 
 class _PReLU:
+    repeat = 1   # the blocks of axis 1 that share one slope and one dropout draw
+
     def __init__(self, n_channels: int, init: float = 0.25):
         self.slopes = Tensor(np.full(n_channels, init), requires_grad=True)
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.slopes", self.slopes)]
 
+    def block(self, z: Tensor, rate: float, rng: np.random.Generator | None,
+              training: bool) -> Tensor:
+        """PReLU, then inverted dropout at ``rate``, of a layer's fresh output
+        ``z`` that nothing else reads, as one ``prelu`` node that takes z's
+        buffer. The mask is drawn per unit of the plane shape, shared by the
+        ``repeat`` blocks, by the same rng call as ``quaternion_dropout`` or
+        ``unit_dropout``. With every slope > 0 the block holds its output
+        only; otherwise it also holds z and the mask."""
+        b, c, *rest = z.shape
+        keep = _dropout_keep((b, c // self.repeat, *rest), rate, rng, training)
+        return prelu(z, self.slopes, repeat=self.repeat, keep=keep,
+                     scale=1.0 / (1.0 - rate), consume=True)
+
+    def pooled_block(self, z: Tensor, pool: Callable[[Tensor], Tensor]) -> Tensor:
+        """PReLU and a max ``pool`` of a layer's fresh output ``z`` that
+        nothing else reads. With every slope > 0 PReLU is strictly
+        increasing, so it commutes with the max: the pool runs first, z is
+        released, and the block holds the pooled output and the pool's
+        argmax. Otherwise PReLU runs first and its output is released after
+        the pool."""
+        if prelu_invertible(self.slopes):
+            pooled = pool(z)
+            z.release()
+            return prelu(pooled, self.slopes, repeat=self.repeat, consume=True)
+        act = prelu(z, self.slopes, repeat=self.repeat, consume=True)
+        pooled = pool(act)
+        act.release()
+        return pooled
+
 
 class QPReLU(_PReLU):
     """Split PReLU with one learnable slope per quaternion channel.
 
-    The slope is shared by the four components of a channel: the slopes
-    are repeated over the four blocks of the stacked input's axis 1.
+    The slope is shared by the four components of a channel: ``prelu``
+    repeats the slopes over the four blocks of the stacked input's axis 1.
     """
 
+    repeat = 4
+
     def __call__(self, q: QTensor) -> QTensor:
-        return QTensor.of(prelu(q.stacked(), concat([self.slopes] * 4)))
+        return QTensor.of(prelu(q.stacked(), self.slopes, repeat=self.repeat))
 
 
 # -- real-valued counterparts (baseline model and output head) ------------

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import tracemalloc
 import types
@@ -620,3 +621,130 @@ def test_rebuilt_node_is_released_right_after_its_child():
     # t runs before h's side of the graph, not at the end of the pass
     assert order == ["child", "t", "h"]
     assert np.array_equal(w.grad, np.full(3, 12.0)) and np.array_equal(a.grad, np.full(3, 12.0))
+
+
+def test_backward_through_a_released_parent_runs_its_closure():
+    x = Tensor(np.array([[1.0, -2.0, 3.0]]), requires_grad=True)
+    mid = x * 2.0          # its closure reads its gradient and the constant only
+    out = maxpool1d(mid, 3, axis=1)
+    mid.release()
+    assert mid.data is None and mid._rebuild is None
+    backward((out * 1.0).sum())
+    # the released node's closure ran, and it was not rebuilt
+    assert np.array_equal(x.grad, [[0.0, 0.0, 2.0]])
+    assert mid.data is None
+
+
+def test_release_also_ends_a_rebuild():
+    w = Tensor(np.ones(3), requires_grad=True)
+    doubled = Tensor._result(w.data[None] * 2.0, (w,), rebuild=lambda: w.data[None] * 2.0)
+    doubled._backward = lambda: w._accum(2.0 * doubled.grad[0])
+    out = maxpool1d(doubled, 1, axis=1)
+    doubled.release()
+    backward(out.sum())
+    assert doubled.data is None
+    assert np.array_equal(w.grad, [2.0, 2.0, 2.0])
+
+
+def test_graph_nbytes_counts_nothing_for_released_data():
+    x = Tensor(np.ones((4, 6)), requires_grad=True)
+    y = x * 2.0
+    z = y * 3.0
+    before = graph_nbytes(z, stop=[x])
+    y.release()
+    assert graph_nbytes(z, stop=[x]) == before - x.data.nbytes
+
+
+def test_maxpool_backward_runs_after_its_input_is_released():
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(2, 3, 7, 4)), requires_grad=True)
+    h = x * 1.0
+    out = maxpool1d(h, 3, axis=2)
+    want = np.zeros(x.shape)
+    idx = h.data[:, :, :6].reshape(2, 3, 2, 3, 4).argmax(axis=3)
+    np.put_along_axis(want[:, :, :6].reshape(2, 3, 2, 3, 4), idx[:, :, :, None], 1.0, axis=3)
+    h.release()
+    backward(out.sum())
+    assert np.array_equal(x.grad, want)
+
+
+def _unfused_prelu(x, slopes, repeat, keep, scale):
+    """PReLU then inverted dropout from additions and products alone:
+    ``max(v, 0) + a * min(v, 0)``, times the scaled mask."""
+    nd = x.data.ndim
+    a = concat([slopes] * repeat).reshape((1, -1) + (1,) * (nd - 2))
+    y = x * Tensor(x.data > 0.0) + (x * Tensor(x.data < 0.0)) * a
+    if keep is None:
+        return y
+    mask = np.broadcast_to(keep[:, None] * scale, (keep.shape[0], repeat) + keep.shape[1:])
+    return y * Tensor(mask.reshape(x.data.shape))
+
+
+@pytest.mark.parametrize("repeat", [1, 4])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("lo, hi", [(0.05, 0.6), (-0.5, 0.5), (-0.6, -0.05)])
+def test_prelu_with_dropout_matches_the_unfused_composition(repeat, dropout, lo, hi):
+    rng = np.random.default_rng(zlib.crc32(f"{repeat}{dropout}{lo}".encode()))
+    c = 3
+    data = rng.normal(size=(2, repeat * c, 5, 4))
+    data[0, :, 0, 0] = 0.0                       # exact zeros take the 0 subgradient
+    slopes_data = rng.uniform(lo, hi, size=c)
+    keep = rng.random((2, c, 5, 4)) >= 0.3 if dropout else None
+    g = rng.normal(size=data.shape)
+    grads = []
+    for fused in (True, False):
+        x = Tensor(data.copy(), requires_grad=True)
+        slopes = Tensor(slopes_data.copy(), requires_grad=True)
+        if fused:
+            out = prelu(x, slopes, repeat=repeat, keep=keep, scale=1 / 0.7)
+        else:
+            out = _unfused_prelu(x, slopes, repeat, keep, 1 / 0.7)
+        backward((out * Tensor(g)).sum())
+        grads.append((out.data, x.grad, slopes.grad))
+    for got, want in zip(*grads):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("second_slope", [0.5, -0.2])
+def test_prelu_consume_writes_into_the_input_buffer(second_slope):
+    rng = np.random.default_rng(18)
+    data = rng.normal(size=(2, 8, 3, 5))
+    slopes_data = np.array([0.25, second_slope])
+    keep = rng.random((2, 2, 3, 5)) >= 0.5
+    want = prelu(Tensor(data), Tensor(slopes_data), repeat=4, keep=keep, scale=2.0).data
+    for recording in (False, True):
+        x = Tensor(data.copy(), requires_grad=True)
+        buffer = x.data
+        slopes = Tensor(slopes_data.copy(), requires_grad=True)
+        with contextlib.nullcontext() if recording else no_grad():
+            out = prelu(x, slopes, repeat=4, keep=keep, scale=2.0, consume=True)
+        assert np.array_equal(out.data, want)
+        if recording and second_slope < 0:
+            # the backward reads the input: it stays, and the output is new
+            assert x.data is buffer and not np.shares_memory(out.data, buffer)
+        else:
+            assert x.data is None and np.shares_memory(out.data, buffer)
+
+
+def test_prelu_with_positive_slopes_keeps_only_its_output():
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(size=(2, 8, 4, 6)), requires_grad=True)
+    slopes = Tensor(np.full(2, 0.25), requires_grad=True)
+    keep = rng.random((2, 2, 4, 6)) >= 0.3
+    out = prelu(x * 1.0, slopes, repeat=4, keep=keep, scale=1 / 0.7, consume=True)
+    # the output; no mask, and the consumed product is released
+    assert graph_nbytes(out, stop=[x, slopes]) == out.data.nbytes + 8
+    # any slope <= 0: the input and the mask stay too
+    slopes.data[1] = 0.0
+    out = prelu(x * 1.0, slopes, repeat=4, keep=keep, scale=1 / 0.7, consume=True)
+    assert graph_nbytes(out, stop=[x, slopes]) == 2 * out.data.nbytes + keep.nbytes + 8
+
+
+def test_prelu_rejects_mismatched_slopes_and_masks():
+    x = Tensor(np.ones((2, 8, 3)))
+    with pytest.raises(ValueError):
+        prelu(x, Tensor(np.ones(8)), repeat=4)
+    with pytest.raises(ValueError):
+        prelu(Tensor(np.ones((2, 6, 3))), Tensor(np.ones(2)), repeat=4)
+    with pytest.raises(ValueError):
+        prelu(x, Tensor(np.ones(2)), repeat=4, keep=np.ones((2, 8, 3), bool))

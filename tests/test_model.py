@@ -1,11 +1,19 @@
+import io
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qspeech.autodiff import Tensor, graph_nbytes
-from qspeech.config import ModelConfig
+from qspeech.autodiff import Tensor, backward, graph_nbytes, zero_grads
+from qspeech.config import ModelConfig, RunConfig, TrainConfig
+from qspeech.ctc import SymbolTable
+from qspeech.data import synth_toy_dataset
 from qspeech.errors import ConfigError
 from qspeech.model import build_model, build_real_model, count_params
-from qspeech.qlayers import QTensor
+from qspeech.qlayers import (QTensor, maxpool_freq, quaternion_dropout, split_maxpool_freq,
+                             unit_dropout)
+from qspeech.trainer import Trainer
 
 SMALL = ModelConfig(n_conv_layers=2, conv_channels=3, n_dense_layers=1,
                     dense_width=8, in_freq=9, dropout=0.3)
@@ -145,3 +153,84 @@ def test_training_graph_holds_no_block_weight():
     held = graph_nbytes(out, stop=[x] + [t for _, t in model.parameters()])
     block_weights = sum(16 * layer.w.r.data.nbytes for layer in model.convs + model.denses)
     assert held < block_weights
+
+
+# model.prelu_init values on both sides of the one-activation path: with
+# every slope > 0 a block's PReLU runs its backward from its output, with a
+# slope <= 0 it keeps its input
+PRELU_INITS = (0.25, 0.0, -0.1)
+
+
+def unfused_forward(model, feats, training, rng):
+    """``CNNModel.forward`` as one node per layer: conv -> PReLU -> pool in
+    the first block, conv -> PReLU -> dropout in the others."""
+    cfg = model.cfg
+    if model.algebra == "quaternion":
+        wrap, pool, dropout = QTensor.of, split_maxpool_freq, quaternion_dropout
+    else:
+        wrap, pool, dropout = (lambda t: t), maxpool_freq, unit_dropout
+
+    def tensor(x):
+        return x.stacked() if isinstance(x, QTensor) else x
+
+    x = wrap(feats.stacked())
+    for i, (conv, act) in enumerate(zip(model.convs, model.conv_acts)):
+        x = act(conv(x))
+        x = pool(x, cfg.pool_width) if i == 0 else dropout(x, cfg.dropout, rng, training)
+    x = tensor(x)
+    b, c, f, t = x.shape
+    x = wrap(x.transpose((0, 3, 1, 2)).reshape((b * t, c * f)))
+    for dense, act in zip(model.denses, model.dense_acts):
+        x = dropout(act(dense(x)), cfg.dropout, rng, training)
+    return model.head(tensor(x)).reshape((b, t, model.n_classes))
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("prelu_init", PRELU_INITS)
+def test_fused_blocks_match_the_unfused_composition(build, prelu_init):
+    model = build(replace(SMALL, n_conv_layers=3, prelu_init=prelu_init), n_classes=5,
+                  rng=np.random.default_rng(13))
+    x = features(np.random.default_rng(14), 2, 9, 11)
+    g = Tensor(np.random.default_rng(15).normal(size=(2, 11, 5)))
+    params = [p for _, p in model.parameters()]
+    runs = []
+    for forward in (model.forward, lambda *a, **k: unfused_forward(model, *a, **k)):
+        zero_grads(params)
+        rng = np.random.default_rng(16)
+        out = forward(x, training=True, rng=rng)
+        backward((out * g).sum())
+        runs.append((out.data, rng.random(), [p.grad for p in params]))
+    (out, draw, grads), (want_out, want_draw, want_grads) = runs
+    assert np.array_equal(out, want_out) and draw == want_draw
+    for got, want in zip(grads, want_grads):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("prelu_init, most", [(0.25, 1.05), (0.0, 2.05), (-0.1, 2.05)])
+def test_conv_block_graph_follows_the_slope_signs(prelu_init, most):
+    rng = np.random.default_rng(17)
+    model = build_model(replace(SMALL, conv_channels=8, prelu_init=prelu_init), 5, rng)
+    conv, act = model.convs[1], model.conv_acts[1]
+    x = Tensor(rng.normal(size=(2, 32, 3, 20)), requires_grad=True)
+    out = act.block(conv(QTensor.of(x)).stacked(), 0.3, rng, training=True)
+    params = [p for _, p in conv.parameters("c") + act.parameters("a")]
+    held = graph_nbytes(out, stop=[x] + params) / out.data.nbytes
+    # one activation at 0.25; the conv output, the activation and a bool
+    # mask at 0 and -0.1 (the unfused block held 3.25)
+    assert most - 0.05 <= held <= most
+
+
+@pytest.mark.parametrize("prelu_init", PRELU_INITS)
+def test_one_epoch_trains_at_any_prelu_init(prelu_init, tmp_path):
+    symbols = ("a", "b", "c")
+    cfg = RunConfig(model=ModelConfig(n_conv_layers=2, conv_channels=3, n_dense_layers=1,
+                                      dense_width=8, dropout=0.3, prelu_init=prelu_init),
+                    train=TrainConfig(epochs=1, fine_tune_epochs=0, batch_size=3, seed=4))
+    utts = synth_toy_dataset(8, symbols, np.random.default_rng(18), min_frames=12,
+                             max_frames=20, min_labels=1, max_labels=2)
+    log = io.StringIO()
+    Trainer(cfg, SymbolTable(symbols), log_stream=log).train(utts[:6], utts[6:], tmp_path)
+    (line,) = log.getvalue().splitlines()
+    fields = dict(kv.split("=") for kv in line.split())
+    assert fields["epoch"] == "1" and fields["phase"] == "adam"
+    assert all(math.isfinite(float(fields[k])) for k in ("train_loss", "dev_loss", "dev_per"))

@@ -4,10 +4,10 @@ import pytest
 from qspeech import qlayers
 from qspeech.autodiff import Tensor, backward, conv2d, graph_nbytes
 from qspeech.gradcheck import check_gradients
-from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor, RealDense,
-                             block_weight_matrix, compose_polar,
-                             quaternion_dropout, quaternion_init, split_maxpool_freq,
-                             unit_dropout)
+from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor, RealConv2d,
+                             RealDense, RealPReLU, block_weight_matrix, compose_polar,
+                             maxpool_freq, quaternion_dropout, quaternion_init,
+                             split_maxpool_freq, unit_dropout)
 from qspeech.selftest import hamilton_conv2d, hamilton_dense
 
 
@@ -330,6 +330,81 @@ class TestOneGemmPerLayer:
         out = layer(x)
         assert transposes == []
         assert new_graph_nodes([out], [x, layer.w, layer.b]) == 2   # product, bias add
+
+
+class TestFusedBlock:
+    """``_PReLU.block`` and ``pooled_block``: PReLU and dropout (or the first
+    block's pool) over a layer's fresh output, as one ``prelu`` node."""
+
+    # concatenated bias planes and their split offsets
+    VECTORS = 4 * 8 * 8 + 5 * 8
+
+    def test_quaternion_conv_block_holds_one_activation(self):
+        rng = np.random.default_rng(48)
+        conv, act = QConv2d(8, 8, (3, 5), rng), QPReLU(8)
+        q = stacked_input(rng, (2, 8, 13, 20))
+        out = act.block(conv(q).stacked(), 0.3, rng, training=True)
+        params = [t for _, t in conv.parameters("conv") + act.parameters("act")]
+        held = graph_nbytes(out, stop=[q.stacked()] + params)
+        # the activation only: the conv output is released, and no mask is kept
+        assert held <= 1.1 * out.data.nbytes + self.VECTORS
+
+    def test_real_conv_block_holds_one_activation(self):
+        rng = np.random.default_rng(48)
+        conv, act = RealConv2d(32, 32, (3, 5), rng), RealPReLU(32)
+        x = Tensor(rng.normal(size=(2, 32, 13, 20)), requires_grad=True)
+        out = act.block(conv(x), 0.3, rng, training=True)
+        params = [t for _, t in conv.parameters("conv") + act.parameters("act")]
+        assert graph_nbytes(out, stop=[x] + params) <= 1.1 * out.data.nbytes
+
+    @pytest.mark.parametrize("algebra", ["quaternion", "real"])
+    def test_first_block_holds_its_pooled_output_and_argmax(self, algebra):
+        rng = np.random.default_rng(51)
+        if algebra == "quaternion":
+            conv, act = QConv2d(1, 8, (3, 5), rng), QPReLU(8)
+            x = stacked_input(rng, (2, 1, 41, 20))
+            z, inputs, vectors = conv(x).stacked(), [x.stacked()], self.VECTORS
+            pool = lambda t: split_maxpool_freq(QTensor.of(t), 3).stacked()
+        else:
+            conv, act = RealConv2d(4, 32, (3, 5), rng), RealPReLU(32)
+            x = Tensor(rng.normal(size=(2, 4, 41, 20)), requires_grad=True)
+            z, inputs, vectors = conv(x), [x], 0
+            pool = lambda t: maxpool_freq(t, 3)
+        out = act.pooled_block(z, pool)
+        assert out.shape == (2, 32, 13, 20) and z.data is None
+        params = [t for _, t in conv.parameters("conv") + act.parameters("act")]
+        held = graph_nbytes(out, stop=inputs + params)
+        # the pooled activation and one byte of argmax per pooled element:
+        # no full-resolution array
+        assert held == out.data.nbytes + out.data.size + vectors
+
+    @pytest.mark.parametrize("slope", [0.0, -0.1])
+    def test_a_slope_not_above_zero_keeps_the_input(self, slope):
+        rng = np.random.default_rng(48)
+        conv, act = QConv2d(8, 8, (3, 5), rng), QPReLU(8)
+        act.slopes.data[3] = slope
+        q = stacked_input(rng, (2, 8, 13, 20))
+        out = act.block(conv(q).stacked(), 0.3, rng, training=True)
+        params = [t for _, t in conv.parameters("conv") + act.parameters("act")]
+        held = graph_nbytes(out, stop=[q.stacked()] + params)
+        # the conv output, the activation and a plane-sized bool mask
+        activation = out.data.nbytes
+        assert held == 2 * activation + activation // 32 + self.VECTORS
+
+    @pytest.mark.parametrize("slopes", [(0.25, 0.5), (0.3, -0.2), (0.0, 0.1)])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_block_values_and_rng_match_unfused_layers(self, slopes, training):
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=(2, 8, 5, 7))
+        for act, dropout, wrap in ((QPReLU(2), quaternion_dropout, QTensor.of),
+                                   (RealPReLU(8), unit_dropout, lambda t: t)):
+            act.slopes.data[:] = np.resize(slopes, act.slopes.shape)
+            want_rng, got_rng = np.random.default_rng(3), np.random.default_rng(3)
+            want = dropout(act(wrap(Tensor(x))), 0.3, want_rng, training)
+            got = act.block(Tensor(x.copy()), 0.3, got_rng, training)
+            want = want.stacked() if isinstance(want, QTensor) else want
+            assert np.array_equal(got.data, want.data)
+            assert want_rng.random() == got_rng.random()
 
 
 class TestSplitOps:
