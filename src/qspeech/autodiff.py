@@ -20,9 +20,13 @@ A graph therefore supports one ``backward``; leaf gradients stay until
 All data is stored as contiguous float64 numpy arrays. numpy supplies the
 array arithmetic; the differentiation rules live here.
 
-Each op keeps only what its backward reads. ``conv2d`` computes stride-1
-cross-correlation (no kernel flip) with zero padding of at most ``k - 1``,
-the usual deep-learning convention, and adds an optional bias in place.
+Each op keeps only what its backward reads. The two layer products,
+``linear`` and ``conv2d``, share one bias rule: an optional bias of one
+value per output channel, added in place into the product's output, so it
+makes no node of its own, with its gradient summed in the product's
+backward. Neither backward reads the product's output. ``conv2d`` computes
+stride-1 cross-correlation (no kernel flip) with zero padding of at most
+``k - 1``, the usual deep-learning convention.
 All three of its passes read one column-block routine, ``_col_blocks``,
 which copies the im2col matrix of one zero-padded utterance into one reused
 buffer of about ``_COL_BYTES``, a run of output frequency rows at a time.
@@ -261,15 +265,27 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
     """``x @ w.T`` for rows ``x`` (n, in) and a weight ``w`` (out, in), which
-    is read as stored and never copied."""
+    is read as stored and never copied, plus an optional ``bias`` of one
+    value per output, (out,). The bias is added in place into the product,
+    as ``conv2d`` adds its own, so it makes no node of its own, and its
+    gradient is the output gradient summed over the rows. The backward does
+    not read the output, so a caller may ``release`` it."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ValueError(f"linear needs x (n, in) and w (out, in), got {x.data.shape} "
                          f"and {w.data.shape}")
-    out = Tensor._result(x.data @ w.data.T, (x, w))
+    if bias is not None and bias.data.shape != w.data.shape[:1]:
+        raise ValueError(f"linear bias of shape {bias.data.shape} for {w.data.shape[0]} "
+                         f"outputs; it needs ({w.data.shape[0]},)")
+    data = x.data @ w.data.T
+    if bias is not None:
+        data += bias.data
+    out = Tensor._result(data, (x, w) if bias is None else (x, w, bias))
     if out.requires_grad:
         def bw():
+            if bias is not None and bias.requires_grad:
+                bias._accum(out.grad.sum(axis=0), owned=True)
             if x.requires_grad:
                 x._accum(out.grad @ w.data, owned=True)
             if w.requires_grad:
@@ -425,9 +441,9 @@ def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int,
                bias: np.ndarray | None = None, buf: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 cross-correlation of a (B, C, H, W) array with a
     (c_out, C, kh, kw) kernel at zero padding (ph, pw), as (B, c_out, oh, ow),
-    plus ``bias`` (broadcast to that shape) when given: per im2col block of
-    ``a``, one GEMM ``w.reshape(c_out, C*kh*kw) @ col`` written straight into
-    the block's rows of the output, and the block's bias added in place.
+    plus ``bias`` (c_out, 1, 1) when given: per im2col block of ``a``, one
+    GEMM ``w.reshape(c_out, C*kh*kw) @ col`` written straight into the
+    block's rows of the output, and the bias added to them in place.
     ``buf``, when given, is a scratch of ``_col_size`` elements for the
     columns plus ``w.size`` for the kernel as one contiguous matrix."""
     cout, cin, kh, kw = w.shape
@@ -439,12 +455,10 @@ def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int,
         n = _col_size(a.shape, kh, kw, ph, pw)
         wk = buf[n:n + w.size].reshape(cout, cin * kh * kw)
         np.copyto(wk.reshape(w.shape), w)
-    if bias is not None:
-        bias = np.broadcast_to(bias, out.shape)
     for b, i0, i1, col in _col_blocks(a, kh, kw, ph, pw, buf):
-        np.matmul(wk, col, out=_rows(out, b, i0, i1))
+        rows = np.matmul(wk, col, out=_rows(out, b, i0, i1))
         if bias is not None:
-            out[b, :, i0:i1] += bias[b, :, i0:i1]
+            rows += bias.reshape(cout, 1)
     return out
 
 
@@ -476,8 +490,7 @@ def _weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, ph: int,
 def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
            padding: tuple[int, int] = (0, 0), *, bias: Tensor | None = None) -> Tensor:
     """Batched 2-D cross-correlation at stride 1 (``stride`` must be (1, 1)),
-    plus an optional ``bias`` that broadcasts to the output, such as one
-    value per output channel, (c_out, 1, 1).
+    plus an optional ``bias`` of one value per output channel, (c_out, 1, 1).
 
     ``x`` has shape (batch, c_in, H, W), ``w`` has shape (c_out, c_in, kh,
     kw). The zero padding per axis is 0 to ``k - 1``, so every window reads
@@ -488,17 +501,18 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     the output gradient with the kernel flipped in both spatial axes, its
     channel axes swapped, at padding ``k - 1 - pad``. The weight gradient
     sums the output gradient's rows times the blocks of ``x``
-    (``_weight_grad``). The bias is added in place into the output, so it
-    makes no node of its own, and its gradient is the output gradient summed
-    over the broadcast axes. The closure keeps no array. The backward's two
-    passes share one scratch array, allocated once per call: the larger
-    column buffer, then a kernel-sized matrix that holds the weight
-    gradient's partial product and then the flipped kernel.
+    (``_weight_grad``). The bias is added in place into the output, as
+    ``linear`` adds its own, so it makes no node of its own, and its gradient
+    is the output gradient summed over the batch and both spatial axes. The
+    closure keeps no array. The backward's two passes share one scratch
+    array, allocated once per call: the larger column buffer, then a
+    kernel-sized matrix that holds the weight gradient's partial product and
+    then the flipped kernel.
     """
     ph, pw = padding
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
-    nb, cin, h, wd = x.data.shape
+    _, cin, h, wd = x.data.shape
     cout, cin_w, kh, kw = w.data.shape
     if cin != cin_w:
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {cin_w}")
@@ -507,10 +521,9 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
                          f"stride {stride} and padding {padding} for a {kh}x{kw} kernel")
     if h + 2 * ph < kh or wd + 2 * pw < kw:
         raise ValueError("conv2d: padded input smaller than kernel")
-    out_shape = (nb, cout, h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1)
-    if bias is not None and np.broadcast_shapes(bias.data.shape, out_shape) != out_shape:
-        raise ValueError(f"conv2d bias of shape {bias.data.shape} does not broadcast to "
-                         f"the output shape {out_shape}")
+    if bias is not None and bias.data.shape != (cout, 1, 1):
+        raise ValueError(f"conv2d bias of shape {bias.data.shape} for {cout} output "
+                         f"channels; it needs ({cout}, 1, 1)")
 
     parents = (x, w) if bias is None else (x, w, bias)
     data = _correlate(x.data, w.data, ph, pw, None if bias is None else bias.data)
@@ -518,7 +531,8 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
     if out.requires_grad:
         def bw():
             if bias is not None and bias.requires_grad:
-                bias._accum(_unbroadcast(out.grad, bias.data.shape))
+                bias._accum(out.grad.sum(axis=0).sum(axis=(1, 2), keepdims=True),
+                            owned=True)
             # one scratch for both passes, sized for the larger: no column
             # buffer, partial product or flipped kernel of its own per pass
             cols = max(_col_size(x.data.shape, kh, kw, ph, pw) if w.requires_grad else 0,

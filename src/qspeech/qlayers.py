@@ -15,12 +15,11 @@ The layers compute it as one real operation on the stacked input:
 ``hamilton_block`` builds the real weight with the 4x4 block structure
 [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]] from the four weight
 planes, and one ``conv2d`` (``linear``) applies it as stored, giving the
-stacked output; ``conv2d`` also adds the bias into it, and a dense layer
-adds its bias as one more node. The block is transient: once the product
+stacked output, and adds the concatenated bias planes into it in place, so
+a layer records no bias-add node. The block is transient: once the product
 has run, the layer drops it, and ``autodiff.backward`` rebuilds it from the
 planes for the product's backward, so a training graph holds no block
-weight. Two
-independent routes check this:
+weight. Two independent routes check this:
 ``selftest.hamilton_conv2d``/``hamilton_dense`` expand the product above
 into 16 real convolutions (matrix products), and ``block_weight_matrix``
 is a numpy oracle of the block weight that no layer calls.
@@ -32,8 +31,8 @@ unit are kept or dropped together. A model block runs PReLU and dropout as
 one ``autodiff.prelu`` node over a layer's fresh output (``QPReLU.block``,
 the same for the real ``RealPReLU``), and its first block pools before
 PReLU (``pooled_block``). With every slope > 0 that node's backward reads
-its own output only, so the layer output is released and a block holds
-one activation.
+its own output only, and no product's backward reads its output, so the
+layer output is released and a conv or dense block holds one activation.
 
 Weights come from a polar initializer: per weight, a purely imaginary
 quaternion with components uniform in [0,1) is normalized to a unit axis
@@ -49,6 +48,7 @@ under the He criterion (1/sqrt(2*(n_in+n_out)) under Glorot).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -301,21 +301,17 @@ def hamilton_block(planes: Sequence[Tensor]) -> Tensor:
 
 
 def _hamilton_layer(q: QTensor, w: QTensor, bias: QTensor | None,
-                    op: Callable[[Tensor, Tensor, Tensor | None], Tensor]) -> QTensor:
-    """Apply ``op`` to the stacked input, the block weight and the
+                    product: Callable[..., Tensor]) -> QTensor:
+    """``product(x, block, bias=b)`` (``linear``, or ``conv2d`` with its
+    padding bound) of the stacked input, the block weight and the
     concatenated bias planes (None without a bias), then drop the block (the
-    backward rebuilds it). A conv ``op`` passes the bias to ``conv2d``, which
-    adds it in place, so a conv layer records no bias-add node."""
+    backward rebuilds it). The product adds the bias in place, so a layer
+    records no bias-add node."""
     block = hamilton_block(w.components)
-    out = op(q.stacked(), block, None if bias is None else concat(bias.components, axis=0))
+    out = product(q.stacked(), block,
+                  bias=None if bias is None else concat(bias.components, axis=0))
     block.drop()
     return QTensor.of(out)
-
-
-def _linear_plus(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """``linear(x, w)``, plus ``b`` when given."""
-    out = linear(x, w)
-    return out if b is None else out + b
 
 
 class _QLayer:
@@ -361,8 +357,7 @@ class QConv2d(_QLayer):
     def __call__(self, q: QTensor) -> QTensor:
         if q.shape[1] != self.in_q:
             raise ValueError(f"expected {self.in_q} quaternion channels, got {q.shape[1]}")
-        return _hamilton_layer(q, self.w, self.bias,
-                               lambda x, w, b: conv2d(x, w, padding=self.padding, bias=b))
+        return _hamilton_layer(q, self.w, self.bias, partial(conv2d, padding=self.padding))
 
 
 class QDense(_QLayer):
@@ -379,7 +374,7 @@ class QDense(_QLayer):
     def __call__(self, q: QTensor) -> QTensor:
         if q.shape[-1] != self.in_q:
             raise ValueError(f"expected {self.in_q} quaternion inputs, got {q.shape[-1]}")
-        return _hamilton_layer(q, self.w, self.bias, _linear_plus)
+        return _hamilton_layer(q, self.w, self.bias, linear)
 
 
 class _PReLU:
@@ -470,7 +465,7 @@ class RealDense(_RealLayer):
         self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, t: Tensor) -> Tensor:
-        return _linear_plus(t, self.w, self.b)
+        return linear(t, self.w, bias=self.b)
 
 
 class RealPReLU(_PReLU):

@@ -72,6 +72,33 @@ def test_linear_backward_keeps_only_its_operands():
     assert graph_nbytes(out, stop=[x, w]) == out.data.nbytes
 
 
+@pytest.mark.parametrize("bias_grad", [True, False])
+def test_linear_bias_matches_numpy(bias_grad):
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=bias_grad)
+    out = linear(x, w, bias=b)
+    g = rng.normal(size=(5, 3))
+    backward((out * Tensor(g)).sum())
+    expected = [(out.data, x.data @ w.data.T + b.data), (x.grad, g @ w.data),
+                (w.grad, g.T @ x.data)]
+    if bias_grad:
+        expected.append((b.grad, g.sum(axis=0)))
+    else:
+        assert b.grad is None
+    for got, want in expected:
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (4,), (1, 3), (3, 1)])
+def test_linear_rejects_a_bias_not_of_one_value_per_output(shape):
+    with pytest.raises(ValueError):
+        linear(Tensor(np.zeros((5, 4))), Tensor(np.zeros((3, 4))),
+               bias=Tensor(np.zeros(shape)))
+
+
 def test_conv2d_one_by_one_identity():
     x = Tensor(np.random.default_rng(1).normal(size=(1, 1, 4, 5)))
     w = Tensor(np.ones((1, 1, 1, 1)))
@@ -281,6 +308,8 @@ def test_conv2d_rejects_a_bias_that_does_not_broadcast():
         conv2d(x, w, (1, 1), (1, 2), bias=Tensor(np.zeros((2, 1, 1))))
     with pytest.raises(ValueError):   # it would enlarge the output
         conv2d(x, w, (1, 1), (1, 2), bias=Tensor(np.zeros((1, 2, 3, 1, 1))))
+    with pytest.raises(ValueError):   # it broadcasts, but not one value per channel
+        conv2d(x, w, (1, 1), (1, 2), bias=Tensor(np.zeros((1, 1, 9))))
 
 
 def test_conv2d_output_block_must_be_a_view():

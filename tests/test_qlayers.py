@@ -308,9 +308,9 @@ class TestOneGemmPerLayer:
         held = graph_nbytes(out, stop=[q.stacked(), *layer.w.components,
                                        *layer.bias.components])
         vectors = 4 * 5 * 8 + 5 * 8   # concatenated bias, split offsets
-        # the product's output and the bias sum: no block weight (it is dropped
-        # after the product), no transposed weight and no plane copy
-        assert held == 2 * out.data.nbytes + vectors
+        # the product's output, its bias added in place: no block weight (it is
+        # dropped after the product), no transposed weight and no plane copy
+        assert held == 1 * out.data.nbytes + vectors
 
     def test_dense_makes_one_linear_call(self, monkeypatch):
         calls = count_calls(monkeypatch, "linear")
@@ -329,7 +329,8 @@ class TestOneGemmPerLayer:
         x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         out = layer(x)
         assert transposes == []
-        assert new_graph_nodes([out], [x, layer.w, layer.b]) == 2   # product, bias add
+        # the product, its bias added in place
+        assert new_graph_nodes([out], [x, layer.w, layer.b]) == 1
 
 
 class TestFusedBlock:
@@ -355,6 +356,25 @@ class TestFusedBlock:
         x = Tensor(rng.normal(size=(2, 32, 13, 20)), requires_grad=True)
         out = act.block(conv(x), 0.3, rng, training=True)
         params = [t for _, t in conv.parameters("conv") + act.parameters("act")]
+        assert graph_nbytes(out, stop=[x] + params) <= 1.1 * out.data.nbytes
+
+    def test_quaternion_dense_block_holds_one_activation(self):
+        rng = np.random.default_rng(53)
+        dense, act = QDense(8, 8, rng), QPReLU(8)
+        q = stacked_input(rng, (40, 8))
+        out = act.block(dense(q).stacked(), 0.3, rng, training=True)
+        params = [t for _, t in dense.parameters("dense") + act.parameters("act")]
+        held = graph_nbytes(out, stop=[q.stacked()] + params)
+        # the activation only: the product output is released, and no mask is
+        # kept
+        assert held <= 1.1 * out.data.nbytes + self.VECTORS
+
+    def test_real_dense_block_holds_one_activation(self):
+        rng = np.random.default_rng(53)
+        dense, act = RealDense(32, 32, rng), RealPReLU(32)
+        x = Tensor(rng.normal(size=(40, 32)), requires_grad=True)
+        out = act.block(dense(x), 0.3, rng, training=True)
+        params = [t for _, t in dense.parameters("dense") + act.parameters("act")]
         assert graph_nbytes(out, stop=[x] + params) <= 1.1 * out.data.nbytes
 
     @pytest.mark.parametrize("algebra", ["quaternion", "real"])
