@@ -463,18 +463,17 @@ def _correlate(a: np.ndarray, w: np.ndarray, ph: int, pw: int,
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, ph: int,
-                 pw: int, buf: np.ndarray | None = None) -> np.ndarray:
+                 pw: int, buf: np.ndarray) -> np.ndarray:
     """Gradient of a conv2d kernel, (c_out, C, kh, kw), from its input ``x``
     and its output gradient ``g``: the sum over the im2col blocks of ``x`` of
     ``g``'s rows of the block times ``col.T``. The first block's product is
-    the sum's start, not an addition to zeros. ``buf``, when given, is a
-    scratch of ``_col_size`` elements for the columns plus a kernel's size
-    for the partial product of a block."""
+    the sum's start, not an addition to zeros. ``buf`` is a scratch of
+    ``_col_size`` elements for the columns plus a kernel's size for the
+    partial product of a block."""
     cout, cin = g.shape[1], x.shape[1]
-    gw = part = None
-    if buf is not None:
-        n = _col_size(x.shape, kh, kw, ph, pw)
-        part = buf[n:n + cout * cin * kh * kw].reshape(cout, cin * kh * kw)
+    n = _col_size(x.shape, kh, kw, ph, pw)
+    part = buf[n:n + cout * cin * kh * kw].reshape(cout, cin * kh * kw)
+    gw = None
     for b, i0, i1, col in _col_blocks(x, kh, kw, ph, pw, buf):
         g_rows = g[b, :, i0:i1].reshape(cout, col.shape[1])
         if gw is None:

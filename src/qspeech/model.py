@@ -11,11 +11,12 @@ output's buffer (``qlayers._PReLU.block``); the first block pools before
 PReLU when every slope is > 0, which gives the same values
 (``pooled_block``).
 
-``build_model`` builds it from quaternion layers on the stacked
-``qlayers.QTensor`` layout (slopes and dropout draws shared by a unit's
-four components); ``build_real_model`` builds the real twin from real
-layers with 4x the channel/width counts (one slope and dropout draw per
-real unit). Both take the same stacked features.
+``build_model`` builds it from quaternion layers (slopes and dropout draws
+shared by a unit's four components); ``build_real_model`` builds the real
+twin from real layers with 4x the channel/width counts (one slope and
+dropout draw per real unit). Both take the same stacked features, and every
+activation inside is one Tensor (stacked r|x|y|z for quaternion layers), so
+``forward`` is one code path, pooling through ``split_maxpool_freq``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import ModelConfig
 from .qlayers import (QConv2d, QDense, QPReLU, QTensor, RealConv2d, RealDense,
-                      RealPReLU, maxpool_freq, split_maxpool_freq)
+                      RealPReLU, split_maxpool_freq)
 # Bound here, though the blocks fuse dropout into PReLU, because profiling
 # wrappers patch this module's name.
 from .qlayers import quaternion_dropout  # noqa: F401
@@ -37,11 +38,6 @@ _ALGEBRAS = {
     "quaternion": (QConv2d, QDense, QPReLU, 1),
     "real": (RealConv2d, RealDense, RealPReLU, 4),
 }
-
-
-def _tensor(x: QTensor | Tensor) -> Tensor:
-    """The stacked Tensor of a quaternion activation; a Tensor as it is."""
-    return x.stacked() if isinstance(x, QTensor) else x
 
 
 class CNNModel:
@@ -81,29 +77,20 @@ class CNNModel:
         cfg = self.cfg
         # The pool is looked up at call time, so a wrapper installed on this
         # module's name sees every pool call.
-        if self.algebra == "quaternion":
-            wrap = QTensor.of
-
-            def pool(t: Tensor) -> Tensor:
-                return split_maxpool_freq(QTensor.of(t), cfg.pool_width).stacked()
-        else:
-            wrap = _tensor
-
-            def pool(t: Tensor) -> Tensor:
-                return maxpool_freq(t, cfg.pool_width)
+        pool = lambda t: split_maxpool_freq(t, cfg.pool_width)  # noqa: E731
         # Each layer output goes straight into its activation, which takes
         # its buffer: no reference to it outlives the block.
         x = feats.stacked()
         for i, (conv, act) in enumerate(zip(self.convs, self.conv_acts)):
             if i == 0:
-                x = act.pooled_block(_tensor(conv(wrap(x))), pool)
+                x = act.pooled_block(conv(x), pool)
             else:
-                x = act.block(_tensor(conv(wrap(x))), cfg.dropout, rng, training)
+                x = act.block(conv(x), cfg.dropout, rng, training)
 
         b, c, f, t = x.shape
         x = x.transpose((0, 3, 1, 2)).reshape((b * t, c * f))
         for dense, act in zip(self.denses, self.dense_acts):
-            x = act.block(_tensor(dense(wrap(x))), cfg.dropout, rng, training)
+            x = act.block(dense(x), cfg.dropout, rng, training)
 
         logits = self.head(x)
         return logits.reshape((b, t, self.n_classes))

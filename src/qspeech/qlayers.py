@@ -1,9 +1,11 @@
 """Quaternion-valued neural network layers.
 
-A quaternion activation (``QTensor``) is one real Tensor whose axis 1
-holds the component blocks r|x|y|z of C channels each: (batch, 4C, freq,
-time) between conv layers, (n, 4C) between dense layers. Convolution and
-dense layers apply the Hamilton product between a quaternion weight
+A quaternion activation is one real Tensor whose axis 1 holds the component
+blocks r|x|y|z of C channels each: (batch, 4C, freq, time) between conv
+layers, (n, 4C) between dense layers; every layer takes and returns it.
+``QTensor`` is the plane view of parameters, and of an activation for a
+caller who passes one in (``_as_stacked``). Convolution and dense layers
+apply the Hamilton product between a quaternion weight
 ``W = R + Xi + Yj + Zk`` and the input ``Q = r + xi + yj + zk``::
 
     W (*) Q = (Rr - Xx - Yy - Zz)
@@ -141,10 +143,19 @@ def maxpool_freq(t: Tensor, pool_width: int) -> Tensor:
     return maxpool1d(t, pool_width, axis=2)
 
 
-def split_maxpool_freq(q: QTensor, pool_width: int) -> QTensor:
-    """Component-wise ``maxpool_freq`` of a (batch, 4*q_channels, freq,
-    time) quaternion activation."""
-    return QTensor.of(maxpool_freq(q.stacked(), pool_width))
+def _as_stacked(x: Tensor | QTensor) -> tuple[Tensor, Callable[[Tensor], Tensor | QTensor]]:
+    """The stacked Tensor of an activation, and the function that wraps a
+    layer's answer back into the caller's type (``QTensor.of`` for a QTensor)."""
+    if isinstance(x, QTensor):
+        return x.stacked(), QTensor.of
+    return x, lambda t: t
+
+
+def split_maxpool_freq(x: Tensor, pool_width: int) -> Tensor:
+    """Component-wise ``maxpool_freq`` of a stacked (batch, 4*q_channels, freq,
+    time) activation; on a real activation, the same per-channel max pool."""
+    t, wrap = _as_stacked(x)
+    return wrap(maxpool_freq(t, pool_width))
 
 
 def _dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
@@ -176,9 +187,9 @@ def unit_dropout(t: Tensor, rate: float, rng: np.random.Generator | None,
     return t if scale is None else t * Tensor(scale)
 
 
-def quaternion_dropout(q: QTensor, rate: float, rng: np.random.Generator | None,
-                       training: bool) -> QTensor:
-    """Inverted dropout of whole quaternion units.
+def quaternion_dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
+                       training: bool) -> Tensor:
+    """Inverted dropout of whole quaternion units of a stacked activation.
 
     One draw per unit (over the plane shape), broadcast over the four
     component blocks, so a unit's components are kept or dropped together.
@@ -186,17 +197,18 @@ def quaternion_dropout(q: QTensor, rate: float, rng: np.random.Generator | None,
     input by the plane-sized scale, which is all its backward keeps.
     Identity when not training or when rate is 0.
     """
-    scale = _dropout_scale(q.shape, rate, rng, training)
+    t, wrap = _as_stacked(x)
+    b, c4, *rest = t.shape
+    scale = _dropout_scale((b, c4 // 4, *rest), rate, rng, training)
     if scale is None:
-        return q
-    x = q.stacked()
-    blocks = (scale.shape[0], 4) + scale.shape[1:]   # the (B, 4, C, ...) view of x
+        return x
+    blocks = (b, 4, c4 // 4, *rest)   # the (B, 4, C, ...) view of t
     scale = scale[:, None]
-    out = Tensor._result((x.data.reshape(blocks) * scale).reshape(x.shape), (x,))
+    out = Tensor._result((t.data.reshape(blocks) * scale).reshape(t.shape), (t,))
     if out.requires_grad:
-        out._backward = lambda: x._accum(
-            (out.grad.reshape(blocks) * scale).reshape(x.shape), owned=True)
-    return QTensor.of(out)
+        out._backward = lambda: t._accum(
+            (out.grad.reshape(blocks) * scale).reshape(t.shape), owned=True)
+    return wrap(out)
 
 
 @dataclass(frozen=True)
@@ -300,18 +312,20 @@ def hamilton_block(planes: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def _hamilton_layer(q: QTensor, w: QTensor, bias: QTensor | None,
-                    product: Callable[..., Tensor]) -> QTensor:
+def _hamilton_layer(x: Tensor, w: QTensor, bias: QTensor | None,
+                    product: Callable[..., Tensor]) -> Tensor:
     """``product(x, block, bias=b)`` (``linear``, or ``conv2d`` with its
     padding bound) of the stacked input, the block weight and the
     concatenated bias planes (None without a bias), then drop the block (the
     backward rebuilds it). The product adds the bias in place, so a layer
     records no bias-add node."""
+    if x.data.ndim < 2 or x.shape[1] != 4 * w.shape[1]:
+        raise ValueError(f"expected {w.shape[1]} quaternion channels, {4 * w.shape[1]} "
+                         f"on axis 1 of the stacked input, got shape {x.shape}")
     block = hamilton_block(w.components)
-    out = product(q.stacked(), block,
-                  bias=None if bias is None else concat(bias.components, axis=0))
+    out = product(x, block, bias=None if bias is None else concat(bias.components, axis=0))
     block.drop()
-    return QTensor.of(out)
+    return out
 
 
 class _QLayer:
@@ -349,15 +363,13 @@ class QConv2d(_QLayer):
         kh, kw = kernel
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("'same' padding needs odd kernel extents")
-        self.in_q, self.out_q = in_q, out_q
         self.padding = ((kh - 1) // 2, (kw - 1) // 2)
         super().__init__(InitSpec(n_in=in_q * kh * kw, n_out=out_q * kh * kw),
                          (out_q, in_q, kh, kw), (out_q, 1, 1), rng, bias)
 
-    def __call__(self, q: QTensor) -> QTensor:
-        if q.shape[1] != self.in_q:
-            raise ValueError(f"expected {self.in_q} quaternion channels, got {q.shape[1]}")
-        return _hamilton_layer(q, self.w, self.bias, partial(conv2d, padding=self.padding))
+    def __call__(self, x: Tensor) -> Tensor:
+        t, wrap = _as_stacked(x)
+        return wrap(_hamilton_layer(t, self.w, self.bias, partial(conv2d, padding=self.padding)))
 
 
 class QDense(_QLayer):
@@ -368,13 +380,11 @@ class QDense(_QLayer):
     """
 
     def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, bias: bool = True):
-        self.in_q, self.out_q = in_q, out_q
         super().__init__(InitSpec(n_in=in_q, n_out=out_q), (out_q, in_q), (out_q,), rng, bias)
 
-    def __call__(self, q: QTensor) -> QTensor:
-        if q.shape[-1] != self.in_q:
-            raise ValueError(f"expected {self.in_q} quaternion inputs, got {q.shape[-1]}")
-        return _hamilton_layer(q, self.w, self.bias, linear)
+    def __call__(self, x: Tensor) -> Tensor:
+        t, wrap = _as_stacked(x)
+        return wrap(_hamilton_layer(t, self.w, self.bias, linear))
 
 
 class _PReLU:
@@ -385,6 +395,10 @@ class _PReLU:
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.slopes", self.slopes)]
+
+    def __call__(self, x: Tensor) -> Tensor:
+        t, wrap = _as_stacked(x)
+        return wrap(prelu(t, self.slopes, repeat=self.repeat))
 
     def block(self, z: Tensor, rate: float, rng: np.random.Generator | None,
               training: bool) -> Tensor:
@@ -424,9 +438,6 @@ class QPReLU(_PReLU):
     """
 
     repeat = 4
-
-    def __call__(self, q: QTensor) -> QTensor:
-        return QTensor.of(prelu(q.stacked(), self.slopes, repeat=self.repeat))
 
 
 # -- real-valued counterparts (baseline model and output head) ------------
@@ -469,8 +480,7 @@ class RealDense(_RealLayer):
 
 
 class RealPReLU(_PReLU):
-    def __call__(self, t: Tensor) -> Tensor:
-        return prelu(t, self.slopes)
+    """PReLU with one learnable slope per real channel."""
 
 
 def block_weight_matrix(planes: Sequence[np.ndarray]) -> np.ndarray:

@@ -2,6 +2,7 @@
 tracer: the tracer's proxies and wrappers must not change what the model
 computes, nor read an array the model has released."""
 
+import gc
 import importlib.util
 import io
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from qspeech import trainer as trainer_module
+from qspeech.autodiff import Tensor
 from qspeech.config import ModelConfig, RunConfig, TrainConfig
 from qspeech.ctc import SymbolTable
 from qspeech.data import synth_toy_dataset
@@ -78,3 +80,24 @@ def test_traced_step_and_decode_match_the_untraced_run():
     assert tracer.calls["autodiff.backward"] == 1
     assert tracer.calls["autodiff.conv1.bwd"] >= 1 and tracer.calls["autodiff.pool.bwd"] >= 1
     assert 0.0 <= metrics["trace.unclaimed_frac"] <= 1.0
+
+
+def test_traced_step_and_decode_leave_no_graph_garbage():
+    # The layers take and return Tensors, so the tracer's proxies make no
+    # component slices: every node the traced run records is freed by
+    # reference counting, none waits for the cycle collector.
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        step_and_decode(traced=True)
+        gc.collect()
+        nodes = [o for o in gc.garbage if isinstance(o, Tensor) and o._parents]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert len(nodes) == 0

@@ -155,6 +155,33 @@ def test_training_graph_holds_no_block_weight():
     assert held < block_weights
 
 
+@pytest.mark.parametrize("build", BUILDERS)
+def test_layers_get_and_return_plain_tensors(build, monkeypatch):
+    # Inside the model an activation is the stacked Tensor in both algebras:
+    # no conv, dense or pool call sees a QTensor, and both pool through
+    # split_maxpool_freq.
+    from qspeech import model as model_module
+    model = build(SMALL, n_classes=5, rng=np.random.default_rng(19))
+    seen = []
+
+    def spy(name, fn):
+        def call(x, *args):
+            out = fn(x, *args)
+            seen.append((name, type(x), type(out)))
+            return out
+        return call
+
+    monkeypatch.setattr(model_module, "split_maxpool_freq",
+                        spy("pool", model_module.split_maxpool_freq))
+    model.convs[:] = [spy("conv", c) for c in model.convs]
+    model.denses[:] = [spy("dense", d) for d in model.denses]
+    model.forward(features(np.random.default_rng(20), 2, 9, 6), training=True,
+                  rng=np.random.default_rng(21))
+    assert sorted(name for name, _, _ in seen) == sorted(
+        ["pool"] + ["conv"] * SMALL.n_conv_layers + ["dense"] * SMALL.n_dense_layers)
+    assert all(t_in is Tensor and t_out is Tensor for _, t_in, t_out in seen)
+
+
 # model.prelu_init values on both sides of the one-activation path: with
 # every slope > 0 a block's PReLU runs its backward from its output, with a
 # slope <= 0 it keeps its input

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qspeech import qlayers
-from qspeech.autodiff import Tensor, backward, conv2d, graph_nbytes
+from qspeech.autodiff import Tensor, backward, conv2d, graph_nbytes, zero_grads
 from qspeech.gradcheck import check_gradients
 from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor, RealConv2d,
                              RealDense, RealPReLU, block_weight_matrix, compose_polar,
@@ -425,6 +425,38 @@ class TestFusedBlock:
             want = want.stacked() if isinstance(want, QTensor) else want
             assert np.array_equal(got.data, want.data)
             assert want_rng.random() == got_rng.random()
+
+
+# (layer, plane shape of its input) for every quaternion layer; a layer that
+# draws dropout gets a fresh, equally seeded rng per call
+STACKED_LAYERS = [
+    pytest.param(lambda rng: QConv2d(2, 3, (3, 5), rng), (2, 2, 6, 5), id="QConv2d"),
+    pytest.param(lambda rng: QDense(3, 2, rng), (5, 3), id="QDense"),
+    pytest.param(lambda rng: QPReLU(2, init=0.25), (2, 2, 4, 3), id="QPReLU"),
+    pytest.param(lambda rng: (lambda x: split_maxpool_freq(x, 2)), (2, 2, 6, 3),
+                 id="split_maxpool_freq"),
+    pytest.param(lambda rng: (lambda x: quaternion_dropout(
+        x, 0.3, np.random.default_rng(9), training=True)), (3, 5), id="quaternion_dropout"),
+]
+
+
+@pytest.mark.parametrize("make, shape", STACKED_LAYERS)
+def test_layer_takes_and_returns_the_stacked_tensor(make, shape):
+    rng = np.random.default_rng(60)
+    layer = make(rng)
+    params = [t for _, t in layer.parameters("l")] if hasattr(layer, "parameters") else []
+    x = rng.normal(size=(shape[0], 4 * shape[1]) + shape[2:])
+    runs = []
+    for as_qtensor in (False, True):
+        zero_grads(params)
+        leaf = Tensor(x.copy(), requires_grad=True)
+        out = layer(QTensor.of(leaf) if as_qtensor else leaf)
+        assert type(out) is (QTensor if as_qtensor else Tensor)
+        out = out.stacked() if as_qtensor else out
+        backward((out * Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))).sum())
+        runs.append([out.data, leaf.grad] + [p.grad for p in params])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 class TestSplitOps:

@@ -340,7 +340,7 @@ def test_train_step_graph_freed_by_refcount():
 
         def __call__(self, q):
             out = self.conv(q)
-            refs.append(weakref.ref(out.stacked().data))
+            refs.append(weakref.ref(out.data))
             return out
 
         def __getattr__(self, name):
