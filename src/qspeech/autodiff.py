@@ -314,6 +314,10 @@ def prelu(x: Tensor, slopes: Tensor, *, repeat: int = 1, keep: np.ndarray | None
     shared by the blocks: a kept unit is multiplied by ``scale``, a dropped
     one becomes 0. The gradient with respect to ``v`` is 0 at 0.
 
+    The forward computes ``max(v, 0) + a * min(v, 0)``: two passes and no
+    gain array, with the value of ``v * (a*(v<0) + (v>0))`` (where that
+    product is -0.0, this sum is +0.0).
+
     With every slope finite and > 0 (``prelu_invertible``) the output ``o``
     has the sign of ``v``, so the backward reads only ``o`` and the slopes:
     the input gradient is ``g * scale * (1, a or 0 where o >, < or == 0)``,
@@ -340,13 +344,11 @@ def prelu(x: Tensor, slopes: Tensor, *, repeat: int = 1, keep: np.ndarray | None
     keeps_input = not invertible and _grad_enabled.get() and (
         x.requires_grad or slopes.requires_grad)
 
-    def gain(v, out=None):   # d out / d v: a where v < 0, 1 where v > 0, else 0
-        g = np.multiply(slopes.data.reshape(a_shape), v < 0.0, out=out)
-        g += v > 0.0
-        return g
-
     xb = x.data.reshape(blocks)
-    ob = np.multiply(xb, gain(xb), out=xb if consume and not keeps_input else None)
+    neg = np.minimum(xb, 0.0)
+    neg *= slopes.data.reshape(a_shape)
+    ob = np.maximum(xb, 0.0, out=xb if consume and not keeps_input else None)
+    ob += neg
     if keep is None:
         scale = 1.0
     else:
@@ -372,8 +374,11 @@ def prelu(x: Tensor, slopes: Tensor, *, repeat: int = 1, keep: np.ndarray | None
                 gs = t.sum(axis=sum_axes)
                 slopes._accum(gs / slopes.data if invertible else gs, owned=True)
             if x.requires_grad:
-                # from o, it is the gain of the input; t's buffer is free again
-                gd *= gain(v, out=t)
+                # d out / d v: a where v < 0, 1 where v > 0, else 0; from o,
+                # it is the gain of the input; t's buffer is free again
+                gain = np.multiply(slopes.data.reshape(a_shape), v < 0.0, out=t)
+                gain += v > 0.0
+                gd *= gain
                 x._accum(gd.reshape(shape), owned=True)
         out._backward = bw
     return out
@@ -552,12 +557,20 @@ def conv2d(x: Tensor, w: Tensor, stride: tuple[int, int] = (1, 1),
 def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
     """Max over non-overlapping windows of ``width`` along one axis.
 
-    A ragged tail shorter than ``width`` is truncated. Gradient goes to
-    the first maximal element of each window, so ties break
-    deterministically. The backward keeps each window's argmax in the
-    smallest unsigned type that holds ``width - 1`` (one byte below 256),
-    and reads neither the input's nor its own data, so a caller may
-    ``release`` the input.
+    A ragged tail shorter than ``width`` is truncated. Window offset k of
+    every window is one strided view of ``x``; the forward folds the
+    ``width`` views into the output with ``np.maximum``, in offset order.
+    Gradient goes to the first maximal element of each window, so ties
+    break deterministically. Only while a graph is recorded, the fold also
+    keeps each window's argmax, in the smallest unsigned type that holds
+    ``width - 1`` (one byte below 256): offset k replaces it where its value
+    exceeds the max so far, and a tie keeps the earlier offset. The backward
+    writes ``g * (argmax == k)`` into offset k's view of a zeroed input
+    gradient, and reads neither the input's nor its own data, so a caller
+    may ``release`` the input. A NaN makes its window's max NaN, but the
+    window's gradient goes to the max of the elements before its first NaN
+    (the NaN itself when it is first), and an infinite or NaN output
+    gradient reaches the other elements of its window as NaN (inf * 0).
     """
     if width < 1:
         raise ValueError("pool width must be >= 1")
@@ -567,19 +580,23 @@ def maxpool1d(x: Tensor, width: int, axis: int = 2) -> Tensor:
         raise ValueError(f"pool width {width} exceeds axis extent {n}")
     axis %= x.data.ndim
 
-    # the pooled axis split in two, (windows, width), as a view
     shape = x.data.shape   # the backward may run after x is released
-    keep = (slice(None),) * axis + (slice(np_out * width),)
-    split = shape[:axis] + (np_out, width) + shape[axis + 1:]
-    xr = x.data[keep].reshape(split)
-    out = Tensor._result(xr.max(axis=axis + 1), (x,))
+    offsets = [(slice(None),) * axis + (slice(k, np_out * width, width),)
+               for k in range(width)]
+    m = x.data[offsets[0]].copy()
+    records = _grad_enabled.get() and x.requires_grad
+    idx = np.zeros(m.shape, dtype=np.min_scalar_type(width - 1)) if records else None
+    for k in range(1, width):
+        v = x.data[offsets[k]]
+        if records:
+            np.maximum(idx, np.multiply(v > m, k, dtype=idx.dtype), out=idx)
+        np.maximum(m, v, out=m)
+    out = Tensor._result(m, (x,))
     if out.requires_grad:
-        idx = np.expand_dims(xr.argmax(axis=axis + 1).astype(np.min_scalar_type(width - 1)),
-                             axis + 1)
         def bw():
             gx = np.zeros(shape)
-            np.put_along_axis(gx[keep].reshape(split), idx,
-                              np.expand_dims(out.grad, axis + 1), axis=axis + 1)
+            for k, at in enumerate(offsets):
+                np.multiply(out.grad, idx == k, out=gx[at])
             x._accum(gx, owned=True)
         out._backward = bw
     return out

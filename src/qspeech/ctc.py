@@ -9,7 +9,8 @@ dynamic program, entirely in log space so long utterances cannot
 underflow.
 
 One forward recursion runs over a padded batch, and beta is the same
-recursion on each example reversed. ``batch_ctc_loss`` is one autodiff
+recursion on each example reversed; the likelihood needs alpha alone, so
+beta runs only for a gradient. ``batch_ctc_loss`` is one autodiff
 node over padded (batch, frames, classes) logits plus lengths; ``ctc_loss``
 and ``ctc_loss_node`` are batch-of-one calls. ``best_path_decode`` is greedy:
 per-frame argmax followed by the collapse function.
@@ -18,7 +19,7 @@ per-frame argmax followed by the collapse function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,8 +112,8 @@ def ctc_loss(logits: np.ndarray, target: Sequence[int], blank: int
     """
     logits = np.asarray(logits, dtype=np.float64)
     n, k = logits.shape
-    loss, grad = _ctc(logits[None], np.array([n]), [_check(target, n, k, blank)], blank)
-    return float(loss[0]), grad[0]
+    loss, gradient = _ctc(logits[None], np.array([n]), [_check(target, n, k, blank)], blank)
+    return float(loss[0]), gradient()[0]
 
 
 def _check(target: Sequence[int], n: int, k: int, blank: int) -> list[int]:
@@ -145,12 +146,13 @@ def _alpha(lp: np.ndarray, aug: np.ndarray, blank: int) -> np.ndarray:
 
 
 def _ctc(logits: np.ndarray, lengths: np.ndarray, targets: list[list[int]],
-         blank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (B,) and their gradient wrt padded (B, T, K) logits."""
+         blank: int) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Losses (B,) of padded (B, T, K) logits, from the forward variables
+    alone, and a function that runs the backward recursion and returns their
+    gradient wrt the logits."""
     aug = _augment(targets, blank)
     ex, frames, states = np.arange(len(aug)), np.arange(logits.shape[1]), np.arange(aug.shape[1])
     s_len = 2 * np.array([len(target) for target in targets]) + 1
-    frame_ok = frames < lengths[:, None]                               # (B, T)
     state_ok = states < s_len[:, None]                                 # (B, S)
     logp = _log_softmax(logits)
     lp = np.take_along_axis(logp, aug[:, None, :], axis=2)   # (B, T, S): log p_t(l'_s)
@@ -158,29 +160,39 @@ def _ctc(logits: np.ndarray, lengths: np.ndarray, targets: list[list[int]],
     alpha = _alpha(lp_in, aug, blank)
     log_p = np.logaddexp(alpha[ex, lengths - 1, s_len - 1], alpha[ex, lengths - 1, s_len - 2])
 
-    # Beta is alpha on each example reversed in time and in states (the reversed
-    # augmented target is the augmented reversed target); padding stays put.
-    rev_t = np.where(frame_ok, lengths[:, None] - 1 - frames, frames)
-    rev_s = np.where(state_ok, s_len[:, None] - 1 - states, states)
-    flip = (ex[:, None, None], rev_t[:, :, None], rev_s[:, None, :])
-    beta = _alpha(lp_in[flip], aug[ex[:, None], rev_s], blank)[flip]
+    def gradient() -> np.ndarray:
+        # Beta is alpha on each example reversed in time and in states (the reversed
+        # augmented target is the augmented reversed target); padding stays put.
+        frame_ok = frames < lengths[:, None]                           # (B, T)
+        rev_t = np.where(frame_ok, lengths[:, None] - 1 - frames, frames)
+        rev_s = np.where(state_ok, s_len[:, None] - 1 - states, states)
+        flip = (ex[:, None, None], rev_t[:, :, None], rev_s[:, None, :])
+        beta = _alpha(lp_in[flip], aug[ex[:, None], rev_s], blank)[flip]
 
-    # d loss / d logits = softmax - posterior over states sharing the class.
-    # alpha*beta double-counts p_t(l'_s), hence the -lp term (the finite lp,
-    # so a padded state gives -inf rather than nan).
-    occupancy = np.where(frame_ok[:, :, None] & state_ok[:, None], alpha + beta - lp, NEG_INF)
-    posterior = np.exp(occupancy - log_p[:, None, None])
-    grad = np.exp(logp)
-    grad[~frame_ok] = 0.0
-    for s in states:
-        grad[ex[:, None], frames, aug[:, s, None]] -= posterior[:, :, s]
-    return -log_p, grad
+        # d loss / d logits = softmax - posterior over states sharing the class.
+        # alpha*beta double-counts p_t(l'_s), hence the -lp term (the finite lp,
+        # so a padded state gives -inf rather than nan).
+        occupancy = np.where(frame_ok[:, :, None] & state_ok[:, None],
+                             alpha + beta - lp, NEG_INF)
+        posterior = np.exp(occupancy - log_p[:, None, None])
+        grad = np.exp(logp)
+        grad[~frame_ok] = 0.0
+        for s in states:
+            grad[ex[:, None], frames, aug[:, s, None]] -= posterior[:, :, s]
+        return grad
+    return -log_p, gradient
 
 
 def batch_ctc_loss(logits: Tensor, lengths: Sequence[int], targets: Sequence[Sequence[int]],
                    blank: int) -> tuple[Tensor, Tensor]:
     """Summed and mean CTC loss over padded (batch, frames, classes) logits, as one
-    node; example i reads ``lengths[i]`` frames. Errors name the example index."""
+    node; example i reads ``lengths[i]`` frames. Errors name the example index.
+
+    The losses come from the forward recursion alone. Only when the sum
+    requires a gradient (``logits`` does, outside ``no_grad``) does the node
+    run the backward recursion and keep the gradient, so an evaluation under
+    ``no_grad`` runs alpha once per batch and gets the same losses, bit for
+    bit, as a training step."""
     n_ex, n, k = logits.shape
     if not 0 < n_ex == len(lengths) == len(targets) or max(lengths) > n:
         raise ValueError("batch_ctc_loss needs one length <= n_frames and one target each")
@@ -190,9 +202,10 @@ def batch_ctc_loss(logits: Tensor, lengths: Sequence[int], targets: Sequence[Seq
             checked.append(_check(target, length, k, blank))
         except ValueError as e:
             raise type(e)(f"example {i}: {e}") from None
-    losses, grad = _ctc(logits.data, np.asarray(lengths), checked, blank)
+    losses, gradient = _ctc(logits.data, np.asarray(lengths), checked, blank)
     out = Tensor._result(np.add.accumulate(losses)[-1], (logits,))  # sum in example order
     if out.requires_grad:
+        grad = gradient()
         out._backward = lambda: logits._accum(out.grad * grad)
     return out, out / n_ex
 

@@ -60,8 +60,10 @@ class Adam:
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params}
-        self.v = {name: np.zeros_like(p.data) for name, p in params}
+        # np.zeros, unlike zeros_like, maps the moments without writing them:
+        # their pages are first touched by the first step
+        self.m = {name: np.zeros(p.data.shape) for name, p in params}
+        self.v = {name: np.zeros(p.data.shape) for name, p in params}
 
     def step(self) -> None:
         self.step_count += 1

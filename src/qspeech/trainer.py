@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .autodiff import backward, no_grad, zero_grads
+from .autodiff import Tensor, backward, no_grad, zero_grads
 from .config import RunConfig, config_hash, dump_config
+# ctc_loss is not called here, but bench/tracing.py times trainer.ctc_loss by name
 from .ctc import SymbolTable, batch_ctc_loss, best_path_decode, ctc_loss, min_alignment_frames
 from .data import Batch, Utterance, make_batches
 from .errors import DataError
@@ -72,6 +73,23 @@ def _feasible(batch: Batch) -> tuple[list[int], int]:
     return ok, len(batch.targets) - len(ok)
 
 
+def _feasible_loss(logits: Tensor, batch: Batch, ok: list[int],
+                   blank: int) -> tuple[Tensor, Tensor]:
+    """``batch_ctc_loss`` (sum, mean) of the batch members ``ok``."""
+    if len(ok) < len(batch.targets):
+        logits = logits[ok]
+    return batch_ctc_loss(logits, [batch.lengths[i] for i in ok],
+                          [batch.targets[i] for i in ok], blank)
+
+
+def _transcribe(logits: np.ndarray, batch: Batch, table: SymbolTable,
+                out: dict[str, list[str]]) -> None:
+    """Store each batch member's greedy transcript in ``out`` under its id."""
+    for i, utt_id in enumerate(batch.utt_ids):
+        out[utt_id] = table.decode(best_path_decode(logits[i, :batch.lengths[i], :],
+                                                    table.blank_index))
+
+
 def _check_writable(path: Path) -> None:
     """Raise the ``DataError`` that ``Trainer.save`` would raise for
     ``path``, found without training: ``path`` must not be a directory, and
@@ -98,6 +116,8 @@ class Trainer:
         self.model = model if model is not None else build_model(
             cfg.model, table.num_classes, self.rng)
         self.params = self.model.parameters()
+        # the config is frozen, so every checkpoint stores the same text and hash
+        self._config_text, self._config_hash = dump_config(cfg), config_hash(cfg)
         self.log_stream = log_stream if log_stream is not None else sys.stdout
         self.start_epoch = 0
         self.best_metric = float("inf")
@@ -124,8 +144,8 @@ class Trainer:
                 optimizer=optimizer.state(),
                 epoch=epoch,
                 phase=phase,
-                config_text=dump_config(self.cfg),
-                config_hash=config_hash(self.cfg),
+                config_text=self._config_text,
+                config_hash=self._config_hash,
                 symbols=list(self.table.symbols),
                 rng_state=self.rng.bit_generator.state,
                 best_metric=best_metric,
@@ -136,7 +156,7 @@ class Trainer:
 
     def resume(self, path: str | Path) -> None:
         state = ckpt.load_checkpoint(path)
-        if state["config_hash"] != config_hash(self.cfg):
+        if state["config_hash"] != self._config_hash:
             raise DataError(f"{path}: checkpoint config hash does not match the "
                             "current config; refusing to resume")
         if state["symbols"] != list(self.table.symbols):
@@ -162,10 +182,7 @@ class Trainer:
             skipped += batch_skipped
             if not ok:
                 continue
-            if batch_skipped:
-                logits = logits[ok]
-            lengths, targets = [batch.lengths[i] for i in ok], [batch.targets[i] for i in ok]
-            loss_sum, loss_mean = batch_ctc_loss(logits, lengths, targets, self.table.blank_index)
+            loss_sum, loss_mean = _feasible_loss(logits, batch, ok, self.table.blank_index)
             zero_grads(p for _, p in self.params)
             backward(loss_mean)
             apply_l2(self.model.regularized_parameters(), cfg.model.l2)
@@ -208,8 +225,11 @@ class Trainer:
 
             t0 = time.monotonic()
             train_loss, skipped = self._run_epoch(optimizer, train_set)
-            dev_loss = evaluate_loss(self.model, dev_set, self.table, cfg.train.batch_size)
-            dev_per = evaluate_per(self.model, dev_set, self.table)
+            # one no-grad pass over the dev set gives its loss and its transcripts
+            dev_hyps: dict[str, list[str]] = {}
+            dev_loss = evaluate_loss(self.model, dev_set, self.table, cfg.train.batch_size,
+                                     dev_hyps)
+            dev_per = _score(dev_hyps, dev_set)
             stats = EpochStats(epoch + 1, phase, train_loss, dev_loss, dev_per,
                                skipped, time.monotonic() - t0)
             result.history.append(stats)
@@ -269,17 +289,25 @@ def restore_parameters(model, params: dict[str, np.ndarray]) -> None:
 
 
 def evaluate_loss(model: CNNModel, utts: list[Utterance], table: SymbolTable,
-                  batch_size: int) -> float:
+                  batch_size: int, hyps: dict[str, list[str]] | None = None) -> float:
+    """Mean CTC loss of the utterances whose targets fit their frame count
+    (inf if none does), from one no-grad forward per batch of
+    ``batch_size``. Each batch's feasible members make one
+    ``batch_ctc_loss``, which under ``no_grad`` runs the forward recursion
+    alone. Given a dict ``hyps``, the same logits also give every
+    utterance's greedy transcript, stored under its id, as
+    ``decode_dataset`` at this batch size would."""
     total, n = 0.0, 0
     for batch in make_batches(utts, table, batch_size):
+        ok, _ = _feasible(batch)
         with no_grad():
             logits = model.forward(batch.features, training=False)
-        ok, _ = _feasible(batch)
-        for i in ok:
-            loss, _ = ctc_loss(logits.data[i, :batch.lengths[i], :],
-                               batch.targets[i], table.blank_index)
-            total += loss
-            n += 1
+            if ok:
+                loss_sum, _ = _feasible_loss(logits, batch, ok, table.blank_index)
+                total += loss_sum.data.item()
+                n += len(ok)
+        if hyps is not None:
+            _transcribe(logits.data, batch, table, hyps)
     return total / n if n else float("inf")
 
 
@@ -290,16 +318,17 @@ def decode_dataset(model: CNNModel, utts: list[Utterance], table: SymbolTable,
     for batch in make_batches(utts, table, batch_size):
         with no_grad():
             logits = model.forward(batch.features, training=False)
-        for i, utt_id in enumerate(batch.utt_ids):
-            idx = best_path_decode(logits.data[i, :batch.lengths[i], :],
-                                   table.blank_index)
-            out[utt_id] = table.decode(idx)
+        _transcribe(logits.data, batch, table, out)
     return out
 
 
 def evaluate_per(model: CNNModel, utts: list[Utterance], table: SymbolTable,
                  phone_map=None) -> float:
-    hyps = decode_dataset(model, utts, table)
+    return _score(decode_dataset(model, utts, table), utts, phone_map)
+
+
+def _score(hyps: dict[str, list[str]], utts: list[Utterance], phone_map=None) -> float:
+    """PER of the transcripts ``hyps`` against the utterances' labels."""
     pairs = []
     for u in utts:
         hyp, ref = hyps[u.utt_id], list(u.labels)

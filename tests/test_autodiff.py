@@ -438,6 +438,44 @@ def test_maxpool_backward_scratch_is_bounded():
     assert peak < 1.75 * x.data.nbytes
 
 
+def _maxpool_oracle(x, width, axis, g):
+    """Max pooling of x by reshape and np.argmax, and g scattered by
+    put_along_axis to each window's first argmax of a zeroed gradient."""
+    n = x.shape[axis] // width * width
+    split = x.shape[:axis] + (n // width, width) + x.shape[axis + 1:]
+    xr = np.take(x, np.arange(n), axis=axis).reshape(split)
+    idx = np.expand_dims(np.argmax(xr, axis=axis + 1), axis + 1)
+    out = np.take_along_axis(xr, idx, axis=axis + 1).squeeze(axis + 1)
+    if g is None:
+        return out, None
+    gr = np.zeros(split)
+    np.put_along_axis(gr, idx, np.expand_dims(g, axis + 1), axis=axis + 1)
+    gx = np.zeros(x.shape)
+    gx[(slice(None),) * axis + (slice(n),)] = gr.reshape(split[:axis] + (n,) + split[axis + 2:])
+    return out, gx
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("recording", [True, False])
+def test_maxpool_matches_an_argmax_scatter_oracle(width, axis, recording):
+    rng = np.random.default_rng(zlib.crc32(f"{width}{axis}".encode()))
+    # 10 along the pooled axis leaves a ragged tail for widths 3 and 4;
+    # small integers make ties common, and the first sample is all equal
+    data = rng.integers(-2, 3, size=(2, 10, 10, 5)).astype(np.float64)
+    data[0] = 1.5
+    want, _ = _maxpool_oracle(data, width, axis, None)
+    g = rng.normal(size=want.shape)
+    x = Tensor(data.copy(), requires_grad=True)
+    with contextlib.nullcontext() if recording else no_grad():
+        out = maxpool1d(x, width, axis=axis)
+    assert np.array_equal(out.data, want)
+    assert out.requires_grad == recording
+    if recording:
+        backward((out * Tensor(g)).sum())
+        assert np.array_equal(x.grad, _maxpool_oracle(data, width, axis, g)[1])
+
+
 def test_prelu_hand_values():
     x = Tensor([[-2.0, 0.0, 3.0], [4.0, -0.5, 0.0]], requires_grad=True)
     slopes = Tensor([0.25, 0.5, 2.0], requires_grad=True)
@@ -753,6 +791,27 @@ def test_prelu_consume_writes_into_the_input_buffer(second_slope):
             assert x.data is buffer and not np.shares_memory(out.data, buffer)
         else:
             assert x.data is None and np.shares_memory(out.data, buffer)
+
+
+@pytest.mark.parametrize("slopes_data", [(0.25, 2.0), (0.25, -0.5), (0.0, -1.5)])
+@pytest.mark.parametrize("consume", [False, True])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_prelu_output_is_the_input_times_its_gain(slopes_data, consume, dropout):
+    rng = np.random.default_rng(zlib.crc32(f"{slopes_data}{consume}{dropout}".encode()))
+    data = rng.normal(size=(2, 8, 3, 5))
+    data[0, :, 0, 0] = 0.0
+    a = np.array(slopes_data)
+    keep = rng.random((2, 2, 3, 5)) >= 0.3 if dropout else None
+    v = data.reshape(2, 4, 2, 3, 5)
+    want = v * (a[:, None, None] * (v < 0) + (v > 0))
+    if dropout:
+        want = want * 2.0 * keep[:, None]
+    for recording in (False, True):
+        x = Tensor(data.copy(), requires_grad=True)
+        slopes = Tensor(a.copy(), requires_grad=True)
+        with contextlib.nullcontext() if recording else no_grad():
+            out = prelu(x, slopes, repeat=4, keep=keep, scale=2.0, consume=consume)
+        assert np.array_equal(out.data, want.reshape(data.shape))
 
 
 def test_prelu_with_positive_slopes_keeps_only_its_output():

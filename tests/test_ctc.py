@@ -239,6 +239,24 @@ class TestBatchLoss:
                 assert np.array_equal(t.grad[i, :n], grad)
                 assert np.all(t.grad[i, n:] == 0.0)
 
+    def test_no_grad_runs_alpha_alone_and_gives_the_grad_mode_losses(self, monkeypatch):
+        logits, lengths, targets = padded_batch(np.random.default_rng(14), 4, max_labels=3)
+        calls = []
+        alpha = ctc._alpha
+        monkeypatch.setattr(ctc, "_alpha", lambda *args: calls.append(1) or alpha(*args))
+        t = Tensor(logits, requires_grad=True)
+        total, mean = batch_ctc_loss(t, lengths, targets, BLANK)
+        assert len(calls) == 2                      # alpha and beta
+        with no_grad():
+            total_ng, mean_ng = batch_ctc_loss(t, lengths, targets, BLANK)
+        assert len(calls) == 3                      # alpha only
+        assert not total_ng.requires_grad and total_ng._backward is None
+        assert total_ng.data.item() == total.data.item()
+        assert mean_ng.data.item() == mean.data.item()
+        # outside no_grad, logits that need no gradient also skip beta
+        batch_ctc_loss(Tensor(logits), lengths, targets, BLANK)
+        assert len(calls) == 4
+
     def test_gradient_matches_finite_differences(self):
         logits, lengths, targets = padded_batch(np.random.default_rng(13), 3)
         t = Tensor(logits, requires_grad=True)

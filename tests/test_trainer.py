@@ -279,7 +279,7 @@ def test_improving_epoch_serialises_one_checkpoint(tmp_path, monkeypatch, links)
     import qspeech.checkpoint as ckpt_module
     import qspeech.trainer as trainer_module
     dev_pers = iter([0.5, 0.75])   # epoch 1 improves, epoch 2 does not
-    monkeypatch.setattr(trainer_module, "evaluate_per", lambda *args: next(dev_pers))
+    monkeypatch.setattr(trainer_module, "per", lambda *args: next(dev_pers))
     written = []
     save = ckpt_module.save_checkpoint
     monkeypatch.setattr(ckpt_module, "save_checkpoint",
@@ -431,3 +431,26 @@ def test_real_twin_trains_through_trainer():
     utts = tiny_data(seed=12)
     losses = [trainer._run_epoch(optimizer, utts)[0] for _ in range(4)]
     assert losses == sorted(losses, reverse=True) and losses[-1] < 0.9 * losses[0], losses
+
+
+def test_train_makes_one_dev_forward_per_dev_batch(tmp_path):
+    # a length-uniform dev set, so batching pads no frame into a transcript
+    rng = np.random.default_rng(13)
+    dev = synth_toy_dataset(6, SYMBOLS, rng, min_frames=20, max_frames=20,
+                            min_labels=1, max_labels=2)
+    cfg = tiny_cfg(epochs=2, fine_tune_epochs=0, batch_size=3)
+    table = SymbolTable(SYMBOLS)
+    trainer = Trainer(cfg, table, log_stream=io.StringIO())
+    dev_forwards = []
+    forward = trainer.model.forward
+
+    def spy(features, training=False, **kwargs):
+        if not training:
+            dev_forwards.append(features.shape[0])
+        return forward(features, training=training, **kwargs)
+    trainer.model.forward = spy
+    result = trainer.train(tiny_data(seed=13)[:6], dev, tmp_path)
+    assert dev_forwards == [3, 3] * 2   # two epochs of two dev batches
+    last = result.history[-1]
+    assert last.dev_loss == evaluate_loss(trainer.model, dev, table, cfg.train.batch_size)
+    assert last.dev_per == evaluate_per(trainer.model, dev, table)
