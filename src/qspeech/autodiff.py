@@ -44,24 +44,21 @@ keeps its input and a bool mask and rebuilds its gain from the input.
 Products skip the gradient of an operand that does not require one (a
 dropout mask, say).
 
-A node's own data can be rebuilt too. An op that can recompute its
+A node's data can be freed once the forward has read it
+(``Tensor.release``: the data is set to None). An op that can recompute its
 output bit for bit from its parents records a ``rebuild`` function with
-the node, and the caller may ``drop`` the node's data (set it to None)
-once the forward has read it. ``backward`` rebuilds a dropped node just
-before the first of its children runs its closure, and runs the node's
-own closure right after the child that reached it in the walk (for a
-node with one child, right after the child that rebuilt it), so the
-rebuilt array and its gradient live only that long. Under ``no_grad``
-nothing is recorded, so nothing is dropped. The quaternion layers drop
-their block weight this way (``qlayers.hamilton_block``).
-
-A node whose data no backward reads can be released instead
-(``Tensor.release``): its data goes for good, and ``backward`` runs its
-closure without rebuilding it. ``prelu(..., consume=True)`` writes its
-output into its input's buffer and releases the input when its backward
-does not need it, and a caller may release the input of ``maxpool1d``.
-That is how a model block keeps one activation: the conv output is read
-by no backward once PReLU runs from its output.
+the node, and ``backward`` rebuilds such a released node just before the
+first of its children runs its closure, and runs the node's own closure
+right after the child that reached it in the walk (for a node with one
+child, right after the child that rebuilt it), so the rebuilt array and
+its gradient live only that long. The quaternion layers release their
+block weight this way (``qlayers.hamilton_block``). A released node with
+no ``rebuild`` stays without data, so only a node whose data no backward
+reads may be released: ``prelu(..., consume=True)`` writes its output into
+its input's buffer and releases the input when its backward does not need
+it, and a caller may release the input of ``maxpool1d``. That is how a
+model block keeps one activation: the conv output is read by no backward
+once PReLU runs from its output.
 
 A gradient takes its first contribution instead of adding it to zeros.
 An array the op allocated for that contribution alone becomes the
@@ -134,28 +131,22 @@ class Tensor:
     @staticmethod
     def _result(data, parents: tuple["Tensor", ...], rebuild=None) -> "Tensor":
         """A new node over ``parents``. ``rebuild`` recomputes ``data`` from
-        the parents, bit for bit; a recorded node that has one may
-        ``drop`` its data."""
+        the parents, bit for bit; ``backward`` calls it when a child's
+        closure would read the released data of the node."""
         out = Tensor(data)
+        out._rebuild = rebuild
         if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
-            out._rebuild = rebuild
         return out
 
-    def drop(self) -> None:
-        """Free the data of a recorded node that can rebuild it; ``backward``
-        rebuilds it before the first child closure runs. A no-op on any
-        other node."""
-        if self._rebuild is not None:
-            self.data = None
-
     def release(self) -> None:
-        """Free the data of a node that no backward reads (it keeps its
-        gradient and its place in the graph); ``backward`` runs its closure
-        without rebuilding it. Only the caller can know that no other
-        reader is left."""
-        self.data, self._rebuild = None, None
+        """Free the node's data (it keeps its gradient and its place in the
+        graph). ``backward`` rebuilds the data of a node that has a
+        ``rebuild`` before the first child closure runs, and runs any other
+        node's closure without it: only the caller can know that no backward
+        reads the data of such a node."""
+        self.data = None
 
     def _accum(self, g: np.ndarray, owned: bool = False) -> None:
         """Add a gradient contribution. ``owned`` says the op allocated
@@ -254,9 +245,9 @@ class Tensor:
         out = Tensor._result(self.data[idx], (self,))
         if out.requires_grad:
             def bw():
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[idx] += out.grad
+                g = np.zeros(self.data.shape)
+                np.add.at(g, idx, out.grad)   # a repeated index adds up
+                self._accum(g, owned=True)
             out._backward = bw
         return out
 
@@ -625,11 +616,11 @@ def backward(loss: Tensor) -> None:
     node is released right after its closure runs, so a second
     ``backward`` through the same graph reaches no parameter.
 
-    A dropped node (``Tensor.drop``) is rebuilt just before the first of its
-    children runs its closure; a released one (``Tensor.release``) is not.
-    The walk visits a node's rebuildable parents last, so such a parent runs
-    its own closure, and is released, right after the child that reached it
-    rather than at the end of the pass.
+    A released node (``Tensor.release``) that has a ``rebuild`` is rebuilt
+    just before the first of its children runs its closure. The walk visits
+    a node's rebuildable parents last, so such a parent runs its own
+    closure, and is released, right after the child that reached it rather
+    than at the end of the pass.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -657,7 +648,7 @@ def backward(loss: Tensor) -> None:
     # released node is freed as soon as nothing outside the graph holds it.
     while topo:
         node = topo.pop()
-        for p in node._parents:   # the first child rebuilds a dropped parent
+        for p in node._parents:   # the first child rebuilds a released parent
             if p.data is None and p._rebuild is not None:
                 p.data = p._rebuild()
         if node._backward is not None:
@@ -695,7 +686,7 @@ def graph_nbytes(root: Tensor, stop: Iterable[Tensor] = ()) -> int:
 
     Walks ``root`` and its ancestors through their parents, not entering
     the ``stop`` tensors, and sums the data of every node reached (none for
-    a dropped or released node) and the arrays its backward closure holds.
+    a released node) and the arrays its backward closure holds.
     Each underlying buffer counts once, so views add nothing, and the
     buffers of the ``stop`` tensors' data count not at all (pass the inputs
     and parameters to count only what the graph adds).
@@ -707,7 +698,7 @@ def graph_nbytes(root: Tensor, stop: Iterable[Tensor] = ()) -> int:
     stack = [root] if id(root) not in visited else []
     while stack:
         node = stack.pop()
-        # a dropped or released node's data is None, which holds no array
+        # a released node's data is None, which holds no array
         arrays = _held_arrays((node.data, node._backward), set())
         for buf in map(_buffer, arrays):
             if id(buf) not in seen:

@@ -55,7 +55,8 @@ class ModelConfig:
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("l2", self.l2 >= 0.0, ">= 0"),
             ("in_channels", self.in_channels >= 1, ">= 1"),
-            ("in_freq", self.in_freq >= self.kernel_freq, f">= kernel_freq {self.kernel_freq}")))
+            ("in_freq", self.in_freq >= self.kernel_freq, f">= kernel_freq {self.kernel_freq}"),
+            ("prelu_init", math.isfinite(self.prelu_init), "finite")))
         symbols = self.symbol_list()
         for s in symbols:
             if s.startswith("#"):

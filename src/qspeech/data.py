@@ -46,7 +46,7 @@ class Utterance:
 @dataclass
 class Batch:
     utt_ids: list[str]
-    features: QTensor               # stacked r|x|y|z: (batch, 4, width, max_frames)
+    features: Tensor                # stacked r|x|y|z: (batch, 4, width, max_frames)
     lengths: list[int]
     targets: list[list[int]]
 
@@ -117,7 +117,7 @@ def make_batches(utts: list[Utterance], table: SymbolTable, batch_size: int,
                 raise DataError(f"utterance {u.utt_id!r}: {e.args[0]}") from None
         batches.append(Batch(
             utt_ids=[u.utt_id for u in members],
-            features=QTensor.of(Tensor(stacked)),
+            features=Tensor(stacked),
             lengths=[u.n_frames for u in members],
             targets=targets,
         ))

@@ -26,7 +26,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import ModelConfig
 from .qlayers import (QConv2d, QDense, QPReLU, QTensor, RealConv2d, RealDense,
-                      RealPReLU, split_maxpool_freq)
+                      RealPReLU, _as_stacked, split_maxpool_freq)
 # Bound here, though the blocks fuse dropout into PReLU, because profiling
 # wrappers patch this module's name.
 from .qlayers import quaternion_dropout  # noqa: F401
@@ -70,17 +70,17 @@ class CNNModel:
 
         self.head = RealDense(4 * cfg.dense_width, n_classes, rng)
 
-    def forward(self, feats: QTensor, training: bool = False,
+    def forward(self, feats: Tensor | QTensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """Map (batch, 4*in_channels, freq, time) stacked features to
-        (batch, time, n_classes) logits."""
+        """Map (batch, 4*in_channels, freq, time) stacked features, a Tensor
+        or a ``QTensor`` of it, to (batch, time, n_classes) logits."""
         cfg = self.cfg
         # The pool is looked up at call time, so a wrapper installed on this
         # module's name sees every pool call.
         pool = lambda t: split_maxpool_freq(t, cfg.pool_width)  # noqa: E731
         # Each layer output goes straight into its activation, which takes
         # its buffer: no reference to it outlives the block.
-        x = feats.stacked()
+        x, _ = _as_stacked(feats)
         for i, (conv, act) in enumerate(zip(self.convs, self.conv_acts)):
             if i == 0:
                 x = act.pooled_block(conv(x), pool)

@@ -19,8 +19,8 @@ The layers compute it as one real operation on the stacked input:
 planes, and one ``conv2d`` (``linear``) applies it as stored, giving the
 stacked output, and adds the concatenated bias planes into it in place, so
 a layer records no bias-add node. The block is transient: once the product
-has run, the layer drops it, and ``autodiff.backward`` rebuilds it from the
-planes for the product's backward, so a training graph holds no block
+has run, the layer releases it, and ``autodiff.backward`` rebuilds it from
+the planes for the product's backward, so a training graph holds no block
 weight. Two independent routes check this:
 ``selftest.hamilton_conv2d``/``hamilton_dense`` expand the product above
 into 16 real convolutions (matrix products), and ``block_weight_matrix``
@@ -29,10 +29,11 @@ is a numpy oracle of the block weight that no layer calls.
 Activations, pooling and dropout are "split": one real operation on the
 stacked tensor, with PReLU slopes repeated over the four blocks and one
 plane-sized dropout mask broadcast over them, so the four components of a
-unit are kept or dropped together. A model block runs PReLU and dropout as
-one ``autodiff.prelu`` node over a layer's fresh output (``QPReLU.block``,
-the same for the real ``RealPReLU``), and its first block pools before
-PReLU (``pooled_block``). With every slope > 0 that node's backward reads
+unit are kept or dropped together; ``quaternion_dropout`` and the real
+``unit_dropout`` are one routine over 4 blocks and 1 block. A model block
+runs PReLU and dropout as one ``autodiff.prelu`` node over a layer's fresh
+output (``QPReLU.block``, the same for the real ``RealPReLU``), and its
+first block pools before PReLU (``pooled_block``). With every slope > 0 that node's backward reads
 its own output only, and no product's backward reads its output, so the
 layer output is released and a conv or dense block holds one activation.
 
@@ -64,7 +65,6 @@ __all__ = [
     "QDense",
     "QPReLU",
     "hamilton_block",
-    "maxpool_freq",
     "split_maxpool_freq",
     "unit_dropout",
     "quaternion_dropout",
@@ -136,13 +136,6 @@ class QTensor:
             return np.stack([c.data for c in self.components])
 
 
-def maxpool_freq(t: Tensor, pool_width: int) -> Tensor:
-    """Max pooling along the frequency axis (axis 2) of a (batch,
-    channels, freq, time) Tensor; the time axis is untouched and a ragged
-    frequency tail is truncated."""
-    return maxpool1d(t, pool_width, axis=2)
-
-
 def _as_stacked(x: Tensor | QTensor) -> tuple[Tensor, Callable[[Tensor], Tensor | QTensor]]:
     """The stacked Tensor of an activation, and the function that wraps a
     layer's answer back into the caller's type (``QTensor.of`` for a QTensor)."""
@@ -152,63 +145,60 @@ def _as_stacked(x: Tensor | QTensor) -> tuple[Tensor, Callable[[Tensor], Tensor 
 
 
 def split_maxpool_freq(x: Tensor, pool_width: int) -> Tensor:
-    """Component-wise ``maxpool_freq`` of a stacked (batch, 4*q_channels, freq,
-    time) activation; on a real activation, the same per-channel max pool."""
+    """Max pooling along the frequency axis (axis 2) of a stacked (batch,
+    4*q_channels, freq, time) activation, component-wise; on a real
+    activation, the same per-channel max pool. The time axis is untouched
+    and a ragged frequency tail is truncated."""
     t, wrap = _as_stacked(x)
-    return wrap(maxpool_freq(t, pool_width))
+    return wrap(maxpool1d(t, pool_width, axis=2))
 
 
-def _dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
+def _dropout_keep(t: Tensor, repeat: int, rate: float, rng: np.random.Generator | None,
                   training: bool) -> np.ndarray | None:
-    """One Bernoulli(1-rate) draw per unit of ``shape``, as a bool mask of
-    the kept units; None when dropout is the identity (not training, or
-    rate 0). Every dropout of the model draws through here, with one
-    ``rng.random(shape)`` call."""
+    """One Bernoulli(1-rate) draw per unit of the plane of ``t``, whose axis
+    1 holds ``repeat`` blocks of C channels, as a bool mask of the kept
+    units; None when dropout is the identity (not training, or rate 0).
+    Every dropout of the model draws through here, with one
+    ``rng.random(plane_shape)`` call."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    return rng.random(shape) >= rate
+    b, c, *rest = t.shape
+    return rng.random((b, c // repeat, *rest)) >= rate
 
 
-def _dropout_scale(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
-                   training: bool) -> np.ndarray | None:
-    """``_dropout_keep``'s mask as 0 or 1/(1-rate) per unit."""
-    keep = _dropout_keep(shape, rate, rng, training)
-    return None if keep is None else keep / (1.0 - rate)
+def _dropout(x: Tensor, repeat: int, rate: float, rng: np.random.Generator | None,
+             training: bool) -> Tensor:
+    """Inverted dropout of a stacked activation whose axis 1 holds
+    ``repeat`` blocks of C channels: ``_dropout_keep``'s plane-sized mask,
+    as 0 or 1/(1-rate) per unit, multiplies the (B, repeat, C, ...) view of
+    the input, so the blocks of a unit are kept or dropped together. The
+    graph holds the plane-sized scale. Identity when not training or when
+    rate is 0."""
+    t, wrap = _as_stacked(x)
+    keep = _dropout_keep(t, repeat, rate, rng, training)
+    if keep is None:
+        return x
+    b, c, *rest = t.shape
+    scale = Tensor(keep[:, None] / (1.0 - rate))
+    return wrap((t.reshape((b, repeat, c // repeat, *rest)) * scale).reshape(t.shape))
 
 
 def unit_dropout(t: Tensor, rate: float, rng: np.random.Generator | None,
                  training: bool) -> Tensor:
     """Inverted dropout of single real units: one draw per element."""
-    scale = _dropout_scale(t.shape, rate, rng, training)
-    return t if scale is None else t * Tensor(scale)
+    return _dropout(t, 1, rate, rng, training)
 
 
 def quaternion_dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
                        training: bool) -> Tensor:
-    """Inverted dropout of whole quaternion units of a stacked activation.
-
-    One draw per unit (over the plane shape), broadcast over the four
-    component blocks, so a unit's components are kept or dropped together.
-    It is one node that multiplies the (B, 4, C, ...) view of the stacked
-    input by the plane-sized scale, which is all its backward keeps.
-    Identity when not training or when rate is 0.
-    """
-    t, wrap = _as_stacked(x)
-    b, c4, *rest = t.shape
-    scale = _dropout_scale((b, c4 // 4, *rest), rate, rng, training)
-    if scale is None:
-        return x
-    blocks = (b, 4, c4 // 4, *rest)   # the (B, 4, C, ...) view of t
-    scale = scale[:, None]
-    out = Tensor._result((t.data.reshape(blocks) * scale).reshape(t.shape), (t,))
-    if out.requires_grad:
-        out._backward = lambda: t._accum(
-            (out.grad.reshape(blocks) * scale).reshape(t.shape), owned=True)
-    return wrap(out)
+    """Inverted dropout of whole quaternion units of a stacked activation:
+    one draw per unit (over the plane shape), shared by the four component
+    blocks, so a unit's components are kept or dropped together."""
+    return _dropout(x, 4, rate, rng, training)
 
 
 @dataclass(frozen=True)
@@ -280,8 +270,8 @@ def hamilton_block(planes: Sequence[Tensor]) -> Tensor:
 
     Planes (out_q, in_q, ...) give a (4*out_q, 4*in_q, ...) weight whose
     block (a, b) is a signed copy of one plane, following
-    [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]]. A recorded block is
-    transient: a layer may ``drop`` it once its product has run, and
+    [[R,-X,-Y,-Z],[X,R,-Z,Y],[Y,Z,R,-X],[Z,-Y,X,R]]. The block is
+    transient: a layer may ``release`` it once its product has run, and
     ``backward`` rebuilds it bit for bit from the planes by the same signed
     copies. The backward pass adds or subtracts each block's gradient into
     its plane's gradient in place.
@@ -316,15 +306,15 @@ def _hamilton_layer(x: Tensor, w: QTensor, bias: QTensor | None,
                     product: Callable[..., Tensor]) -> Tensor:
     """``product(x, block, bias=b)`` (``linear``, or ``conv2d`` with its
     padding bound) of the stacked input, the block weight and the
-    concatenated bias planes (None without a bias), then drop the block (the
-    backward rebuilds it). The product adds the bias in place, so a layer
+    concatenated bias planes (None without a bias), then release the block
+    (the backward rebuilds it). The product adds the bias in place, so a layer
     records no bias-add node."""
     if x.data.ndim < 2 or x.shape[1] != 4 * w.shape[1]:
         raise ValueError(f"expected {w.shape[1]} quaternion channels, {4 * w.shape[1]} "
                          f"on axis 1 of the stacked input, got shape {x.shape}")
     block = hamilton_block(w.components)
     out = product(x, block, bias=None if bias is None else concat(bias.components, axis=0))
-    block.drop()
+    block.release()
     return out
 
 
@@ -408,8 +398,7 @@ class _PReLU:
         ``repeat`` blocks, by the same rng call as ``quaternion_dropout`` or
         ``unit_dropout``. With every slope > 0 the block holds its output
         only; otherwise it also holds z and the mask."""
-        b, c, *rest = z.shape
-        keep = _dropout_keep((b, c // self.repeat, *rest), rate, rng, training)
+        keep = _dropout_keep(z, self.repeat, rate, rng, training)
         return prelu(z, self.slopes, repeat=self.repeat, keep=keep,
                      scale=1.0 / (1.0 - rate), consume=True)
 

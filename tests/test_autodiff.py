@@ -393,6 +393,12 @@ def test_elementwise_backward_rules(op):
     assert check_gradients(fns[op], wrt) < 1e-5
 
 
+def test_a_repeated_index_adds_its_gradients():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    backward(x[[0, 0]].sum() + (x[np.array([2, 0, 2])] * 3.0).sum())
+    assert np.array_equal(x.grad, [5.0, 0.0, 6.0])
+
+
 @pytest.mark.parametrize("op", ["add", "mul", "linear"])
 def test_gradients_share_no_memory(op):
     rng = np.random.default_rng(14)
@@ -635,7 +641,7 @@ def _transient_graph(drop: bool) -> types.SimpleNamespace:
         child._backward = lambda fn=child._backward: (saw_data.append(sq.data is not None),
                                                       fn())
     if drop:
-        sq.drop()
+        sq.release()
     return types.SimpleNamespace(loss=children[0].sum() + children[1].sum(), sq=sq,
                                  leaves=(x, w, v), rebuilds=rebuilds, saw_data=saw_data)
 
@@ -663,14 +669,12 @@ def test_graph_nbytes_excludes_dropped_data():
     assert held_kept - graph_nbytes(dropped.loss, stop=dropped.leaves) == kept.sq.data.nbytes
 
 
-def test_drop_frees_only_recorded_nodes_that_can_rebuild():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with no_grad():   # nothing is recorded, so nothing is dropped
-        t = Tensor._result(x.data * 2.0, (x,), rebuild=lambda: x.data * 2.0)
-    t.drop()
-    plain = x * 2.0   # recorded, but cannot rebuild
-    plain.drop()
-    assert t.data is not None and plain.data is not None
+def test_release_keeps_the_rebuild_of_a_recorded_node():
+    g = _transient_graph(drop=False)
+    g.sq.release()
+    assert g.sq.data is None and g.sq._rebuild is not None
+    backward(g.loss)
+    assert g.rebuilds == [1]
 
 
 def test_rebuilt_node_is_released_right_after_its_child():
@@ -680,7 +684,7 @@ def test_rebuilt_node_is_released_right_after_its_child():
     t = Tensor._result(w.data * w.data, (w,), rebuild=lambda: w.data * w.data)
     t._backward = lambda: w._accum(2.0 * w.data * t.grad, owned=True)
     child = h * t
-    t.drop()
+    t.release()
     order = []
     for name, node in (("h", h), ("t", t), ("child", child)):
         node._backward = lambda fn=node._backward, name=name: (order.append(name), fn())
@@ -700,17 +704,6 @@ def test_backward_through_a_released_parent_runs_its_closure():
     # the released node's closure ran, and it was not rebuilt
     assert np.array_equal(x.grad, [[0.0, 0.0, 2.0]])
     assert mid.data is None
-
-
-def test_release_also_ends_a_rebuild():
-    w = Tensor(np.ones(3), requires_grad=True)
-    doubled = Tensor._result(w.data[None] * 2.0, (w,), rebuild=lambda: w.data[None] * 2.0)
-    doubled._backward = lambda: w._accum(2.0 * doubled.grad[0])
-    out = maxpool1d(doubled, 1, axis=1)
-    doubled.release()
-    backward(out.sum())
-    assert doubled.data is None
-    assert np.array_equal(w.grad, [2.0, 2.0, 2.0])
 
 
 def test_graph_nbytes_counts_nothing_for_released_data():

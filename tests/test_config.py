@@ -73,6 +73,16 @@ def test_validation_names_field(line, field):
         parse_config(line)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_prelu_init_is_rejected(value):
+    with pytest.raises(ConfigError, match="model.prelu_init"):
+        ModelConfig(prelu_init=value).validate()
+    with pytest.raises(ConfigError, match="model.prelu_init"):
+        parse_config(f"model.prelu_init = {value}")
+    # a slope <= 0 stays legal: the block keeps its input instead
+    ModelConfig(prelu_init=-0.5).validate()
+
+
 def test_hash_changes_with_values():
     a = config_hash(RunConfig())
     b = config_hash(parse_config("train.seed = 99"))

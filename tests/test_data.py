@@ -56,10 +56,9 @@ def test_batches_pad_and_encode():
     assert sum(len(b.utt_ids) for b in batches) == len(utts)
     for b in batches:
         max_t = max(b.lengths)
-        assert b.features.shape == (len(b.utt_ids), 1, 41, max_t)
-        planes = b.features.numpy()
+        assert b.features.shape == (len(b.utt_ids), 4, 41, max_t)
         for i, n in enumerate(b.lengths):
-            assert not np.any(planes[:, i, :, :, n:])  # zero padding
+            assert not np.any(b.features.data[i, :, :, n:])  # zero padding
         for target in b.targets:
             assert all(0 <= t < table.blank_index for t in target)
 

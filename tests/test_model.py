@@ -11,8 +11,7 @@ from qspeech.ctc import SymbolTable
 from qspeech.data import synth_toy_dataset
 from qspeech.errors import ConfigError
 from qspeech.model import build_model, build_real_model, count_params
-from qspeech.qlayers import (QTensor, maxpool_freq, quaternion_dropout, split_maxpool_freq,
-                             unit_dropout)
+from qspeech.qlayers import QTensor, quaternion_dropout, split_maxpool_freq, unit_dropout
 from qspeech.trainer import Trainer
 
 SMALL = ModelConfig(n_conv_layers=2, conv_channels=3, n_dense_layers=1,
@@ -195,7 +194,7 @@ def unfused_forward(model, feats, training, rng):
     if model.algebra == "quaternion":
         wrap, pool, dropout = QTensor.of, split_maxpool_freq, quaternion_dropout
     else:
-        wrap, pool, dropout = (lambda t: t), maxpool_freq, unit_dropout
+        wrap, pool, dropout = (lambda t: t), split_maxpool_freq, unit_dropout
 
     def tensor(x):
         return x.stacked() if isinstance(x, QTensor) else x

@@ -6,8 +6,8 @@ from qspeech.autodiff import Tensor, backward, conv2d, graph_nbytes, zero_grads
 from qspeech.gradcheck import check_gradients
 from qspeech.qlayers import (InitSpec, QConv2d, QDense, QPReLU, QTensor, RealConv2d,
                              RealDense, RealPReLU, block_weight_matrix, compose_polar,
-                             maxpool_freq, quaternion_dropout, quaternion_init,
-                             split_maxpool_freq, unit_dropout)
+                             quaternion_dropout, quaternion_init, split_maxpool_freq,
+                             unit_dropout)
 from qspeech.selftest import hamilton_conv2d, hamilton_dense
 
 
@@ -127,6 +127,19 @@ class TestQDense:
         q = QTensor.from_arrays(*(np.full((1, 1), v) for v in (5.0, 6.0, 7.0, 8.0)))
         out = [c.data.item() for c in layer(q).components]
         assert out == [-60.0, 12.0, 30.0, 24.0]
+
+    def test_frozen_weight_planes_still_give_the_input_gradient(self):
+        # the block is then recorded in no graph, yet the layer releases it
+        # and the product's backward reads it: backward must rebuild it
+        rng = np.random.default_rng(10)
+        layer = QDense(3, 2, rng)
+        for plane in layer.w.components:
+            plane.requires_grad = False
+        x = Tensor(rng.normal(size=(5, 12)), requires_grad=True)
+        g = rng.normal(size=(5, 8))
+        backward((layer(x) * Tensor(g)).sum())
+        block = block_weight_matrix([p.data for p in layer.w.components])
+        assert np.allclose(x.grad, g @ block, rtol=1e-12, atol=1e-12)
 
     def test_matches_block_real_dense(self):
         rng = np.random.default_rng(9)
@@ -389,7 +402,7 @@ class TestFusedBlock:
             conv, act = RealConv2d(4, 32, (3, 5), rng), RealPReLU(32)
             x = Tensor(rng.normal(size=(2, 4, 41, 20)), requires_grad=True)
             z, inputs, vectors = conv(x), [x], 0
-            pool = lambda t: maxpool_freq(t, 3)
+            pool = lambda t: split_maxpool_freq(t, 3)
         out = act.pooled_block(z, pool)
         assert out.shape == (2, 32, 13, 20) and z.data is None
         params = [t for _, t in conv.parameters("conv") + act.parameters("act")]
